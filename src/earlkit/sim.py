@@ -235,8 +235,7 @@ def _fit_method_rule(
     if method == "qlearning":
         return qlearning_fit(data, nspec.outcome_map).rule
     if method == "owl":
-        # hinge loss, null Q-model; lambda stays fixed (a CV grid of
-        # subgradient solves would dominate the harness runtime)
+        # hinge loss, null Q-model; lambda stays fixed, even under select="cv"
         prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
         cfg = replace(earl_cfg, loss="hinge", seed=fit_seed)
         return owl_fit(data, prop, cfg).rule

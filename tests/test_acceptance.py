@@ -279,7 +279,7 @@ def test_criterion_08_fisher_consistency_desk_check():
     Known shortfall: under the benchmark generative model the weighted
     surrogate projection onto the quadratic class sits near 93-94%
     agreement regardless of sample size, lambda, or extra product
-    features; see the repository notes for the measurements.
+    features; see the table in ROADMAP.md open item 4 for the measurements.
     """
     d = generate_scenario(ScenarioSpec(2, 5000), stream(777, "fisher"))
     w = dr_weights(d, true_propensity_model(2), true_outcome_model())

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from earlkit.core import DataError, Dataset, FeatureMap, LinearRule
 from earlkit.earl import (
@@ -15,7 +17,14 @@ from earlkit.earl import (
 )
 from earlkit.losses import phi_eval
 from earlkit.nuisance import NuisanceSpec
-from earlkit.sim import ModelSpec, ScenarioSpec, generate_scenario, optimal_rule, true_value_mc
+from earlkit.sim import (
+    ModelSpec,
+    ScenarioSpec,
+    generate_scenario,
+    optimal_rule,
+    true_propensity_model,
+    true_value_mc,
+)
 from earlkit.weights import WeightPair, dr_weights
 
 
@@ -213,6 +222,17 @@ def test_crossfit_duplicated_symmetric_folds():
     assert np.array_equal(fit.rule.beta, r1.beta)
 
 
+def test_crossfit_reports_fold_solver_status():
+    d = generate_scenario(ScenarioSpec(2, 300), 40)
+    cfg = EarlConfig(loss="logistic", lam=0.1, k_folds=3, seed=2)
+    fit = earl_fit_crossfit(d, _cc_spec(), cfg)
+    assert fit.converged and fit.n_iter > 3 and fit.grad_norm < cfg.tol
+    short = earl_fit_crossfit(d, _cc_spec(), replace(cfg, max_iter=1))
+    assert not short.converged
+    assert short.n_iter == 3
+    assert short.grad_norm >= cfg.tol
+
+
 def test_crossfit_single_arm_fold_k2_errors():
     X = np.random.default_rng(1).normal(size=(20, 10))
     A = np.concatenate([np.ones(10), -np.ones(10)]).astype(int)
@@ -296,3 +316,37 @@ def test_hinge_desk_fit_reaches_oracle():
 
     _, f_star = _grid_oracle_1d(obj)
     assert fit.objective_value <= f_star + 1e-4
+
+
+def test_hinge_fit_reports_nonconvergence():
+    d, rng = _data(80, 3, seed=4)
+    w = (rng.normal(size=80) * 2, rng.normal(size=80) * 2)
+    cfg = EarlConfig(loss="hinge", lam=0.1)
+    fit = earl_fit(d, w, cfg)
+    assert fit.converged and fit.grad_norm < cfg.tol
+    short = earl_fit(d, w, replace(cfg, max_iter=1))
+    assert not short.converged
+    assert short.grad_norm >= cfg.tol
+
+
+def test_hinge_matches_linear_program_at_lambda_zero():
+    # at lam = 0 the hinge problem is the LP: minimize the weighted slacks
+    # xi >= 0 with xi >= 1 - label * (beta0 + beta'x) for each instance
+    for seed in range(3):
+        d = generate_scenario(ScenarioSpec(2, 300), seed)
+        w_pos, w_neg = dr_weights(d, true_propensity_model(2), None)
+        n = d.n
+        Z = np.column_stack([np.ones(n), d.X])
+        q = Z.shape[1]
+        u = np.where(w_pos >= 0, 1.0, -1.0)
+        v = np.where(w_neg >= 0, -1.0, 1.0)
+        c = np.concatenate([np.zeros(q), np.abs(w_pos) / n, np.abs(w_neg) / n])
+        eye, zero = np.eye(n), np.zeros((n, n))
+        A = np.block([[-u[:, None] * Z, -eye, zero], [-v[:, None] * Z, zero, -eye]])
+        bounds = [(None, None)] * q + [(0.0, None)] * (2 * n)
+        lp = linprog(c, A_ub=A, b_ub=-np.ones(2 * n), bounds=bounds, method="highs")
+        assert lp.status == 0
+        fit = earl_fit(d, (w_pos, w_neg), EarlConfig(loss="hinge", lam=0.0))
+        assert fit.converged
+        assert fit.objective_value - lp.fun <= 1e-5 * (1.0 + abs(lp.fun))
+        assert fit.objective_value >= lp.fun - 1e-7 * (1.0 + abs(lp.fun))
