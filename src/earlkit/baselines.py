@@ -19,7 +19,7 @@ import numpy as np
 from .core import ConfigError, Dataset, FeatureMap, LinearRule, stream
 from .earl import EarlConfig, earl_fit
 from .nuisance import OutcomeModel, PropensityModel, fit_outcome
-from .value import value_aipwe
+from .value import _dr_value
 from .weights import dr_weights
 
 __all__ = [
@@ -110,14 +110,15 @@ class SearchConfig:
             raise ConfigError(f"generations must be at least 1, got {self.generations}")
 
 
-def _normalize_genome(genome: np.ndarray, fallback_axis: int) -> np.ndarray:
-    out = genome.copy()
-    nb = float(np.linalg.norm(out[1:]))
-    if nb < 1e-12:
-        out[1:] = 0.0
-        out[1 + fallback_axis] = 1.0
-    else:
-        out[1:] /= nb
+def _normalize_genomes(genomes: np.ndarray, fallback_axes: np.ndarray) -> np.ndarray:
+    """Rescale each row's coefficients (all but the intercept) to unit norm;
+    a row whose coefficients are near zero becomes its fallback axis."""
+    out = genomes.copy()
+    nb = np.linalg.norm(out[:, 1:], axis=1)
+    tiny = nb < 1e-12
+    out[:, 1:] /= np.where(tiny, 1.0, nb)[:, None]
+    out[tiny, 1:] = 0.0
+    out[tiny, 1 + fallback_axes[tiny]] = 1.0
     return out
 
 
@@ -147,60 +148,45 @@ def aipwe_direct_search(
 
     Tournament selection, uniform crossover, Gaussian mutation, and an
     elite copied unchanged each generation, so the best value never
-    decreases. Deterministic given the seed. The Q-learning rule derived
-    from the supplied outcome model is placed in the initial population
-    (a random direction when no outcome model is given).
+    decreases. A rule's fitness is its value P_n[W_{d(X)}] over the doubly
+    robust weights, which are computed once. Deterministic given the seed.
+    The Q-learning rule derived from the supplied outcome model is placed
+    in the initial population (a random direction when no outcome model is
+    given).
     """
     rng = stream(config.seed, 5150)
     n, p = data.n, data.p
-    pi_pos = propensity.prob(data.X, 1)
-    pi_neg = propensity.prob(data.X, -1)
-    if outcome is None:
-        q_pos = np.zeros(n)
-        q_neg = np.zeros(n)
-    else:
-        q_pos = outcome.predict_arm(data.X, 1)
-        q_neg = outcome.predict_arm(data.X, -1)
-    Y, A, X = data.Y, data.A.astype(float), data.X
+    w_pos, w_neg = dr_weights(data, propensity, outcome)
+    X1 = np.column_stack([np.ones(n), data.X])
+    base, gain = float(np.mean(w_neg)), w_pos - w_neg
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        # scores for the whole population at once: n x m
-        F = X @ pop[:, 1:].T + pop[:, 0]
-        D = np.where(F >= 0.0, 1.0, -1.0)
-        match = (A[:, None] == D).astype(float)
-        pi_d = np.where(D == 1.0, pi_pos[:, None], pi_neg[:, None])
-        q_d = np.where(D == 1.0, q_pos[:, None], q_neg[:, None])
-        contrib = Y[:, None] * match / pi_d - (match - pi_d) / pi_d * q_d
-        return contrib.mean(axis=0)
+        # P_n[W_{d(X)}] for the whole population at once: d = +1 where f >= 0
+        return base + gain @ (X1 @ pop.T >= 0.0) / n
 
-    m = config.population
-    pop = np.empty((m, p + 1))
+    m, k = config.population, config.tournament
+    axes = np.arange(m) % p
     if outcome is not None:
-        pop[0] = _seed_genome(outcome, p, rng)
+        seed_genome = _seed_genome(outcome, p, rng)
     else:
-        pop[0] = _normalize_genome(np.concatenate([[0.0], rng.standard_normal(p)]), 0)
-    for i in range(1, m):
-        genome = np.concatenate([rng.normal(size=1), rng.standard_normal(p)])
-        pop[i] = _normalize_genome(genome, i % p)
+        seed_genome = np.concatenate([[0.0], rng.standard_normal(p)])
+    pop = _normalize_genomes(np.vstack([seed_genome, rng.standard_normal((m - 1, p + 1))]), axes)
     fit_vals = fitness(pop)
     seed_value = float(fit_vals[0])
     best_i = int(np.argmax(fit_vals))
     best_genome = pop[best_i].copy()
     best_value = float(fit_vals[best_i])
     history = [best_value]
-    for gen in range(config.generations):
-        children = np.empty_like(pop)
-        children[0] = best_genome  # elitism
-        for i in range(1, m):
-            t1 = rng.integers(0, m, size=config.tournament)
-            t2 = rng.integers(0, m, size=config.tournament)
-            pa = pop[t1[np.argmax(fit_vals[t1])]]
-            pb = pop[t2[np.argmax(fit_vals[t2])]]
-            mask = rng.random(p + 1) < 0.5
-            child = np.where(mask, pa, pb)
-            child = child + rng.normal(0.0, config.mutation_sd, size=p + 1)
-            children[i] = _normalize_genome(child, i % p)
-        pop = children
+    for _ in range(config.generations):
+        # both tournaments of every child in one draw; argmax keeps the
+        # first of tied entrants
+        entrants = rng.integers(0, m, size=(2, m - 1, k))
+        won = np.argmax(fit_vals[entrants], axis=-1)
+        parents = pop[np.take_along_axis(entrants, won[..., None], axis=-1)[..., 0]]
+        mask = rng.random((m - 1, p + 1)) < 0.5
+        children = np.where(mask, parents[0], parents[1])
+        children += rng.normal(0.0, config.mutation_sd, size=(m - 1, p + 1))
+        pop = np.vstack([best_genome, _normalize_genomes(children, axes[1:])])  # elitism
         fit_vals = fitness(pop)
         gen_best = int(np.argmax(fit_vals))
         if float(fit_vals[gen_best]) > best_value:
@@ -214,7 +200,7 @@ def aipwe_direct_search(
         method="aipwe_direct",
         rule=rule,
         diagnostics={
-            "aipwe": value_aipwe(data, rule, propensity, outcome).estimate,
+            "aipwe": _dr_value(rule.decide_many(data.X), w_pos, w_neg),
             "best_history": tuple(history),
             "seed_rule_aipwe": seed_value,
             "evaluations": m * (config.generations + 1),

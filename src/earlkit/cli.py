@@ -194,6 +194,22 @@ _FIT_DEFAULTS = {
 }
 
 
+def _model_maps(cfg: dict, p: int) -> tuple[FeatureMap, NuisanceSpec]:
+    """The rule feature map and the nuisance specification named by the
+    rule/propensity/outcome feature, ridge and clip settings."""
+    rule_fm = FeatureMap.from_name(str(cfg["rule_features"]), p, intercept=False)
+    prop_fm = FeatureMap.from_name(str(cfg["propensity_features"]), p)
+    out_name = str(cfg["outcome_features"]).strip().lower()
+    out_fm = None if out_name in ("none", "null") else FeatureMap.from_name(out_name, p)
+    nspec = NuisanceSpec(
+        propensity_map=prop_fm,
+        outcome_map=out_fm,
+        ridge=float(cfg["ridge"]),
+        clip=(float(cfg["clip_lo"]), float(cfg["clip_hi"])),
+    )
+    return rule_fm, nspec
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merged(args, _FIT_DEFAULTS)
     if not cfg["input"] or not cfg["output"]:
@@ -201,16 +217,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
     data = load_csv(cfg["input"])
     use_cv, lam = _parse_lambda(cfg["lam"])
-    rule_fm = FeatureMap.from_name(str(cfg["rule_features"]), data.p, intercept=False)
-    prop_fm = FeatureMap.from_name(str(cfg["propensity_features"]), data.p)
-    out_name = str(cfg["outcome_features"]).strip().lower()
-    out_fm = None if out_name in ("none", "null") else FeatureMap.from_name(out_name, data.p)
-    nspec = NuisanceSpec(
-        propensity_map=prop_fm,
-        outcome_map=out_fm,
-        ridge=float(cfg["ridge"]),
-        clip=(float(cfg["clip_lo"]), float(cfg["clip_hi"])),
-    )
+    rule_fm, nspec = _model_maps(cfg, data.p)
     k = int(cfg["crossfit"])
     econf = EarlConfig(
         loss=str(cfg["loss"]),
@@ -234,16 +241,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if fit.per_fold_rules is not None:
             per_fold = [_rule_to_json(r) for r in fit.per_fold_rules]
     elif method == "owl":
-        prop = fit_propensity(data, prop_fm, ridge=nspec.ridge, clip=nspec.clip)
+        prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
         out = None
         bl = owl_fit(data, prop, econf)
         rule, lam_used, loss_used = bl.rule, econf.lam, econf.loss
     elif method == "qlearning":
-        if out_fm is None:
+        if nspec.outcome_map is None:
             raise ConfigError("qlearning requires outcome features")
-        prop = fit_propensity(data, prop_fm, ridge=nspec.ridge, clip=nspec.clip)
+        prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
         out = None  # the artifact's Q-model is null: the rule already encodes the contrast
-        bl = qlearning_fit(data, out_fm)
+        bl = qlearning_fit(data, nspec.outcome_map)
         rule, lam_used, loss_used = bl.rule, 0.0, None
     else:
         raise ConfigError(f"unknown fit method {method!r}; expected earl, owl, or qlearning")
@@ -378,16 +385,7 @@ def cmd_permtest(args: argparse.Namespace) -> int:
     seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
     data = load_csv(cfg["input"])
     _, lam = _parse_lambda(cfg["lam"])
-    rule_fm = FeatureMap.from_name(str(cfg["rule_features"]), data.p, intercept=False)
-    prop_fm = FeatureMap.from_name(str(cfg["propensity_features"]), data.p)
-    out_name = str(cfg["outcome_features"]).strip().lower()
-    out_fm = None if out_name in ("none", "null") else FeatureMap.from_name(out_name, data.p)
-    nspec = NuisanceSpec(
-        propensity_map=prop_fm,
-        outcome_map=out_fm,
-        ridge=float(cfg["ridge"]),
-        clip=(float(cfg["clip_lo"]), float(cfg["clip_hi"])),
-    )
+    rule_fm, nspec = _model_maps(cfg, data.p)
     econf = EarlConfig(loss=str(cfg["loss"]), lam=lam, feature_map=rule_fm, seed=int(seed))
 
     def pipeline(d):

@@ -25,6 +25,7 @@ from .core import (
     ConfigError,
     DataError,
     Dataset,
+    EarlError,
     FeatureMap,
     LinearRule,
     NumericalError,
@@ -33,7 +34,7 @@ from .core import (
 )
 from .losses import SurrogateLoss, get_loss, phi_eval, phi_grad, phi_hess
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
-from .value import value_aipwe
+from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
 __all__ = [
@@ -273,11 +274,11 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     converged = False
     grad_norm = np.inf
     stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
+    steps = 0
+    for _ in range(max_iter):
         g = prob.gradient(b)
         if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient at iteration {it}")
+            raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < tol:
             converged = True
@@ -297,6 +298,7 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
         else:
             break
         b = b + t * delta
+        steps += 1
         if fn < best_f:
             best_f, best_b = fn, b.copy()
         if fn >= f - 1e-14 * (1.0 + abs(f)):
@@ -311,7 +313,7 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     else:
         out_b, out_f = best_b, best_f
     grad_norm = float(np.max(np.abs(prob.gradient(out_b))))
-    return out_b, out_f, it, grad_norm, converged or grad_norm < tol
+    return out_b, out_f, steps, grad_norm, converged or grad_norm < tol
 
 
 def _solve_hinge(prob: _Problem, tol: float, max_iter: int):
@@ -333,10 +335,10 @@ def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
     gradient drops below config.tol or config.max_iter is reached. The
     hinge loss runs the same iterations on Huber-smoothed hinges of width
     delta = 1, 1e-1, ..., 1e-5, each stage warm-started from the last and
-    allowed config.max_iter iterations; n_iter is the total over the
-    stages, and grad_norm and converged describe the last stage. Since the
-    smoothed loss lies within delta/2 of the hinge, a converged last stage
-    certifies that the hinge objective is within
+    allowed config.max_iter iterations; grad_norm and converged describe
+    the last stage. n_iter counts the Newton steps taken, summed over the
+    stages. Since the smoothed loss lies within delta/2 of the hinge, a
+    converged last stage certifies that the hinge objective is within
     1e-5/2 * mean(|W_1| + |W_-1|) of its minimum, up to that stage's
     gradient residual. The returned objective never exceeds the objective
     at beta = 0.
@@ -459,9 +461,12 @@ def select_lambda(
     For each lambda in the grid and each of config.cv_folds splits, the
     estimator is fit on the training folds and the resulting rule is scored
     on the held-out fold with the doubly robust value estimator, using
-    nuisance models refit on the held-out fold. Ties break toward the
-    larger lambda. Folds whose fits fail contribute NaN and are ignored;
-    if every value is non-finite the selection fails.
+    nuisance models refit on the held-out fold; the held fold's weights
+    are computed once and shared by every lambda. Ties break toward the
+    larger lambda. A fold whose nuisance or rule fit fails with an
+    EarlError or LinAlgError contributes NaN (None in the table) and is
+    ignored; any other error propagates. If every value is non-finite the
+    selection fails.
     """
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
@@ -475,11 +480,10 @@ def select_lambda(
         train = data.subset(train_idx)
         held = data.subset(hold)
         try:
-            prop_h, out_h = nuisance.fit(held)
+            w_h = dr_weights(held, *nuisance.fit(held))
             if not crossfit:
-                prop_t, out_t = nuisance.fit(train)
-                w_t = dr_weights(train, prop_t, out_t)
-        except Exception:
+                w_t = dr_weights(train, *nuisance.fit(train))
+        except (EarlError, np.linalg.LinAlgError):
             continue
         for i, lam in enumerate(grid):
             cfg = replace(config, lam=float(lam))
@@ -488,12 +492,13 @@ def select_lambda(
                     fit = earl_fit_crossfit(train, nuisance, cfg)
                 else:
                     fit = earl_fit(train, w_t, cfg)
-                vals[i, j] = value_aipwe(held, fit.rule, prop_h, out_h).estimate
-            except Exception:
+            except (EarlError, np.linalg.LinAlgError):
                 continue
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        means = np.nanmean(vals, axis=1)
+            vals[i, j] = _dr_value(fit.rule.decide_many(held.X), *w_h)
+    # the NaN-ignoring mean, without np.nanmean's warning on an all-NaN row
+    missing = np.isnan(vals)
+    counts = np.sum(~missing, axis=1)
+    means = np.sum(np.where(missing, 0.0, vals), axis=1) / np.where(counts > 0, counts, np.nan)
     if not np.any(np.isfinite(means)):
         raise NumericalError("every cross-validated value was non-finite")
     best_lam, best_val = None, -np.inf

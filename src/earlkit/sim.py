@@ -297,17 +297,15 @@ def run_experiment(
                     stream(seed, 303, scenario, n, rep, method, mspec.code).integers(2**63)
                 )
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        rule = _fit_method_rule(
-                            method,
-                            data,
-                            mspec.nuisance_spec(scenario, p=p),
-                            fit_seed,
-                            earl_cfg,
-                            search_cfg,
-                            select,
-                        )
+                    rule = _fit_method_rule(
+                        method,
+                        data,
+                        mspec.nuisance_spec(scenario, p=p),
+                        fit_seed,
+                        earl_cfg,
+                        search_cfg,
+                        select,
+                    )
                     value = _value_on(validation[scenario], rule)
                 except (EarlError, np.linalg.LinAlgError) as exc:
                     err = str(exc)
@@ -327,13 +325,17 @@ def run_experiment(
 
     cells = [(s, n, r) for s in scenarios for n in n_grid for r in range(replicates)]
     results: list[ExperimentResult] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for recs in pool.map(lambda c: one_cell(*c), cells):
-                results.extend(recs)
-    else:
-        for cell in cells:
-            results.extend(one_cell(*cell))
+    # the warning filters are process-global, so they are set once here,
+    # in the calling thread, rather than per record in the workers
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for recs in pool.map(lambda c: one_cell(*c), cells):
+                    results.extend(recs)
+        else:
+            for cell in cells:
+                results.extend(one_cell(*cell))
     results.sort(key=lambda r: (r.method, r.scenario, r.spec, r.n, r.replicate))
     return results
 

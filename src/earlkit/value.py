@@ -16,6 +16,7 @@ import numpy as np
 from .core import DataError, Dataset, LinearRule
 from .losses import get_loss
 from .nuisance import OutcomeModel, PropensityModel
+from .weights import dr_weights
 
 __all__ = [
     "ValueEstimate",
@@ -57,27 +58,27 @@ def value_ipwe(data: Dataset, rule: LinearRule, propensity: PropensityModel) -> 
     return ValueEstimate(est, "ipwe", int(match.sum()))
 
 
+def _dr_value(d: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray) -> float:
+    """P_n[W_{d(X)}]: the mean doubly robust weight of the recommended arm."""
+    return float(np.mean(np.where(d == 1, w_pos, w_neg)))
+
+
 def value_aipwe(
     data: Dataset,
     rule: LinearRule,
     propensity: PropensityModel,
     outcome: OutcomeModel | None = None,
 ) -> ValueEstimate:
-    """Augmented IPW estimator of the value of a rule.
+    """Augmented IPW estimator of the value of a rule, P_n[W_{d(X)}] over
+    the doubly robust weights of dr_weights.
 
-    The leading term's denominator is pi{d(X); X}: when A = d(X) that
-    equals pi(A; X), and otherwise the indicator nullifies the term, so
-    with outcome None this reduces exactly to value_ipwe.
+    W_a's leading term has denominator pi(a; X), which equals pi(A; X)
+    when A = a and is nullified by the indicator otherwise, so with
+    outcome None this reduces exactly to value_ipwe.
     """
-    d, match, pi_pos, pi_neg = _pieces(data, rule, propensity)
-    pi_d = np.where(d == 1, pi_pos, pi_neg)
-    first = data.Y * match / pi_d
-    if outcome is None:
-        est = float(np.mean(first))
-    else:
-        q_d = np.where(d == 1, outcome.predict_arm(data.X, 1), outcome.predict_arm(data.X, -1))
-        est = float(np.mean(first - (match - pi_d) / pi_d * q_d))
-    return ValueEstimate(est, "aipwe", int(match.sum()))
+    d = rule.decide_many(data.X)
+    est = _dr_value(d, *dr_weights(data, propensity, outcome))
+    return ValueEstimate(est, "aipwe", int(np.sum(data.A == d)))
 
 
 def value_ipwe_normalized(

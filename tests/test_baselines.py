@@ -126,6 +126,20 @@ def test_search_beats_or_matches_qlearning_seed():
     assert bl.diagnostics["aipwe"] >= seed_rule_value - 1e-12
 
 
+def test_search_seed_value_is_the_contrast_rule_value():
+    d, prop, out = _search_setup()
+    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=20, generations=5, seed=4))
+    expected = value_aipwe(d, contrast_rule(out), prop, out).estimate
+    assert abs(bl.diagnostics["seed_rule_aipwe"] - expected) < 1e-12
+
+
+def test_search_history_ends_at_reported_value():
+    d, prop, out = _search_setup(seed=12)
+    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=30, generations=25, seed=6))
+    assert abs(bl.diagnostics["best_history"][-1] - bl.diagnostics["aipwe"]) < 1e-12
+    assert bl.diagnostics["aipwe"] == value_aipwe(d, bl.rule, prop, out).estimate
+
+
 def test_search_is_deterministic():
     d, prop, out = _search_setup()
     cfg = SearchConfig(population=20, generations=15, seed=9)

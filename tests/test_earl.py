@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from earlkit.core import DataError, Dataset, FeatureMap, LinearRule
+import earlkit.earl as earl_mod
+from earlkit.core import DataError, Dataset, FeatureMap, LinearRule, NumericalError
 from earlkit.earl import (
     DEFAULT_LAMBDA_GRID,
     EarlConfig,
@@ -297,6 +298,50 @@ def test_select_lambda_tie_breaks_to_larger():
 def test_default_lambda_grid_is_powers_of_two():
     assert DEFAULT_LAMBDA_GRID == tuple(2.0**k for k in range(-5, 6))
     assert len(DEFAULT_LAMBDA_GRID) == 11
+
+
+def test_select_lambda_propagates_unexpected_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a fitting failure")
+
+    monkeypatch.setattr(earl_mod, "earl_fit", broken)
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    with pytest.raises(TypeError):
+        select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, 1.0), cv_folds=4, seed=1))
+
+
+def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
+    real_fit = earl_mod.earl_fit
+
+    def fails_at_one(data, weights, config):
+        if config.lam == 1.0:
+            raise NumericalError("solver blew up")
+        return real_fit(data, weights, config)
+
+    monkeypatch.setattr(earl_mod, "earl_fit", fails_at_one)
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    sel = select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, 1.0), cv_folds=4, seed=1))
+    rows = {row["lambda"]: row for row in sel.table}
+    assert rows[1.0]["mean_value"] is None
+    assert rows[1.0]["fold_values"] == [None] * 4
+    assert all(v is not None for v in rows[0.5]["fold_values"])
+    assert sel.lambda_ == 0.5
+
+
+def test_n_iter_counts_newton_steps(monkeypatch):
+    calls = []
+    real_hessian = earl_mod._Problem.hessian
+
+    def counted(self, b):
+        calls.append(1)
+        return real_hessian(self, b)
+
+    monkeypatch.setattr(earl_mod._Problem, "hessian", counted)
+    d = generate_scenario(ScenarioSpec(2, 300), 41)
+    w = dr_weights(d, *_cc_spec().fit(d))
+    fit = earl_fit(d, w, EarlConfig(loss="logistic", lam=0.1))
+    assert fit.converged
+    assert fit.n_iter == len(calls) > 0
 
 
 def test_select_lambda_needs_enough_rows():

@@ -4,12 +4,14 @@ from scipy.special import logit
 
 from earlkit.core import DataError, Dataset, FeatureMap, LinearRule
 from earlkit.nuisance import OutcomeModel, PropensityModel
+from earlkit.sim import ModelSpec, ScenarioSpec, generate_scenario
 from earlkit.value import (
     value_aipwe,
     value_crossfit_aggregate,
     value_ipwe,
     value_ipwe_normalized,
 )
+from earlkit.weights import dr_weights
 
 NEAR_ONE = np.nextafter(1.0, 0.0)
 
@@ -217,3 +219,16 @@ def test_n_effective_counts_matches():
     expected = int(np.sum(d.A == rule.decide_many(d.X)))
     assert value_ipwe(d, rule, prop).n_effective == expected
     assert value_aipwe(d, rule, prop).n_effective == expected
+
+
+@pytest.mark.parametrize("with_outcome", [True, False])
+def test_aipwe_is_mean_weight_of_recommended_arm(with_outcome):
+    d = generate_scenario(ScenarioSpec(2, 400), 12)
+    prop, out = ModelSpec("CC").nuisance_spec(2).fit(d)
+    out = out if with_outcome else None
+    rng = np.random.default_rng(13)
+    w_pos, w_neg = dr_weights(d, prop, out)
+    for _ in range(5):
+        rule = LinearRule.raw(rng.normal(), rng.normal(size=d.p))
+        dec = rule.decide_many(d.X)
+        assert value_aipwe(d, rule, prop, out).estimate == np.mean(np.where(dec == 1, w_pos, w_neg))
