@@ -12,6 +12,14 @@ Neural Computation 19:1155; Nesterov 2005, Math. Programming 103:127).
 Cross-fitting partitions the sample into K folds, fits the nuisance models
 on fold I_k, runs the weighted minimization on the complement, and
 averages the K coefficient vectors.
+
+Lambda is chosen by cross-validated held-out value. Each CV split builds
+its training problem once and solves it down the sorted grid, from the
+largest lambda to the smallest, each solve warm-started from the previous
+lambda's coefficients and restarted from beta = 0 after a failed cell
+(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
+solve stops on the same config.tol gradient test as a cold fit, so only a
+held-out score within that tolerance of 0 can flip a decision.
 """
 
 from __future__ import annotations
@@ -221,13 +229,13 @@ def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return np.column_stack([np.ones(Phi.shape[0]), Phi])
 
 
-def _build_problem(data: Dataset, weights, config: EarlConfig, lam=None) -> tuple[_Problem, FeatureMap]:
+def _build_problem(data: Dataset, weights, config: EarlConfig) -> tuple[_Problem, FeatureMap]:
     fm = config.rule_map(data.p)
     if fm.uses_treatment or fm.has_intercept:
         raise ConfigError("the rule feature map must be over x only, without an intercept")
     w_pos, w_neg = _as_weight_arrays(weights, data.n)
     Z = _rule_design(data.X, fm)
-    return _Problem(Z, w_pos, w_neg, get_loss(config.loss), config.lam if lam is None else lam), fm
+    return _Problem(Z, w_pos, w_neg, get_loss(config.loss), config.lam), fm
 
 
 def earl_objective(rule: LinearRule, weights, data: Dataset, loss, lam: float) -> float:
@@ -316,9 +324,11 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     return out_b, out_f, steps, grad_norm, converged or grad_norm < tol
 
 
-def _solve_hinge(prob: _Problem, tol: float, max_iter: int):
+def _solve_hinge(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
     zero = np.zeros(prob.q)
-    b, n_iter = zero, 0
+    if b is None:
+        b = zero
+    n_iter = 0
     for delta in _HINGE_DELTAS:
         b, _, it, grad_norm, converged = _solve_smooth(_SmoothedHinge(prob, delta), tol, max_iter, b)
         n_iter += it
@@ -326,6 +336,12 @@ def _solve_hinge(prob: _Problem, tol: float, max_iter: int):
     if f0 < f:
         b, f = zero, f0
     return b, f, n_iter, grad_norm, converged
+
+
+def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
+    """Minimize prob at its lam from b (None: beta = 0) with config's tolerance."""
+    solve = _solve_smooth if prob.loss.smooth else _solve_hinge
+    return solve(prob, config.tol, config.max_iter, b)
 
 
 def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
@@ -344,8 +360,7 @@ def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
     at beta = 0.
     """
     prob, fm = _build_problem(data, weights, config)
-    solve = _solve_smooth if prob.loss.smooth else _solve_hinge
-    b, f, it, gn, ok = solve(prob, config.tol, config.max_iter)
+    b, f, it, gn, ok = _solve(prob, config)
     rule = LinearRule(b[0], b[1:], fm)
     return EarlFit(
         rule=rule,
@@ -378,10 +393,41 @@ def _merge_single_arm_folds(data: Dataset, folds: list[np.ndarray]) -> list[np.n
         neighbor = (bad + 1) % len(folds)
         warnings.warn(
             f"fold {bad} contains a single treatment arm; merging it with fold {neighbor}",
-            stacklevel=3,
+            stacklevel=4,
         )
         merged = np.sort(np.concatenate([folds[bad], folds[neighbor]]))
         folds = [f for i, f in enumerate(folds) if i not in (bad, neighbor)] + [merged]
+
+
+def _mean_rule(rules: list[LinearRule]) -> LinearRule:
+    beta0 = float(np.mean([r.beta0 for r in rules]))
+    beta = np.mean(np.stack([r.beta for r in rules]), axis=0)
+    return LinearRule(beta0, beta, rules[0].feature_map)
+
+
+def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig, folds=None):
+    """Build the weighted problem of every cross-fitting fold.
+
+    Partitions the sample (or takes the given folds), merges single-arm
+    folds, fits the nuisance models on each fold I_k and builds the
+    problem from the complement's DR weights at config.lam. Returns a list
+    of (I_k, complement, propensity, outcome, problem) and the rule map.
+    """
+    k = config.k_folds if folds is None else len(folds)
+    if data.n < 2 * k:
+        raise DataError(f"need n >= 2K rows for cross-fitting, got n={data.n}, K={k}")
+    if folds is None:
+        folds = _partition(data.n, k, config.seed)
+    folds = _merge_single_arm_folds(data, list(folds))
+    parts = []
+    all_idx = np.arange(data.n)
+    for fold_idx in folds:
+        erm_idx = np.setdiff1d(all_idx, fold_idx)
+        prop, out = nuisance.fit(data.subset(fold_idx))
+        erm_data = data.subset(erm_idx)
+        prob, fm = _build_problem(erm_data, dr_weights(erm_data, prop, out), config)
+        parts.append((fold_idx, erm_idx, prop, out, prob))
+    return parts, fm
 
 
 def earl_fit_crossfit(
@@ -401,44 +447,31 @@ def earl_fit_crossfit(
     converged when every fold converged, n_iter summed, grad_norm the
     largest.
     """
-    k = config.k_folds if folds is None else len(folds)
-    if data.n < 2 * k:
-        raise DataError(f"need n >= 2K rows for cross-fitting, got n={data.n}, K={k}")
-    if folds is None:
-        folds = _partition(data.n, k, config.seed)
-    folds = _merge_single_arm_folds(data, list(folds))
-    artifacts, fits = [], []
-    all_idx = np.arange(data.n)
-    for fold_idx in folds:
-        erm_idx = np.setdiff1d(all_idx, fold_idx)
-        prop, out = nuisance.fit(data.subset(fold_idx))
-        erm_data = data.subset(erm_idx)
-        w = dr_weights(erm_data, prop, out)
-        fit_k = earl_fit(erm_data, w, config)
-        fits.append(fit_k)
+    parts, fm = _crossfit_problems(data, nuisance, config, folds)
+    artifacts, status = [], []
+    for fold_idx, erm_idx, prop, out, prob in parts:
+        b, f, it, gn, ok = _solve(prob, config)
+        status.append((it, gn, ok))
         artifacts.append(
             FoldArtifact(
                 nuisance_index=fold_idx,
                 erm_index=erm_idx,
-                rule=fit_k.rule,
+                rule=LinearRule(b[0], b[1:], fm),
                 propensity=prop,
                 outcome=out,
-                objective_value=fit_k.objective_value,
+                objective_value=f,
             )
         )
     rules = [a.rule for a in artifacts]
-    beta0 = float(np.mean([r.beta0 for r in rules]))
-    beta = np.mean(np.stack([r.beta for r in rules]), axis=0)
-    agg = LinearRule(beta0, beta, rules[0].feature_map)
     return EarlFit(
-        rule=agg,
+        rule=_mean_rule(rules),
         # cross-fit convention: average of the per-fold objectives; each
         # per-fold objective is recomputable from its FoldArtifact
         objective_value=float(np.mean([a.objective_value for a in artifacts])),
         lambda_used=config.lam,
-        n_iter=sum(f.n_iter for f in fits),
-        grad_norm=max(f.grad_norm for f in fits),
-        converged=all(f.converged for f in fits),
+        n_iter=sum(it for it, _, _ in status),
+        grad_norm=max(gn for _, gn, _ in status),
+        converged=all(ok for _, _, ok in status),
         per_fold_rules=tuple(rules),
         fold_artifacts=tuple(artifacts),
     )
@@ -458,19 +491,32 @@ def select_lambda(
 ) -> LambdaSelection:
     """Choose lambda by cross-validated held-out value.
 
-    For each lambda in the grid and each of config.cv_folds splits, the
-    estimator is fit on the training folds and the resulting rule is scored
-    on the held-out fold with the doubly robust value estimator, using
-    nuisance models refit on the held-out fold; the held fold's weights
-    are computed once and shared by every lambda. Ties break toward the
-    larger lambda. A fold whose nuisance or rule fit fails with an
-    EarlError or LinAlgError contributes NaN (None in the table) and is
-    ignored; any other error propagates. If every value is non-finite the
-    selection fails.
+    For each of config.cv_folds splits, the estimator is fit on the
+    training folds at every lambda in the grid and each resulting rule is
+    scored on the held-out fold with the doubly robust value estimator,
+    using nuisance models refit on the held-out fold. Each split's
+    training problem (its weights, their checks and the rule design; with
+    crossfit=True the K per-fold problems, nuisance fits included) and the
+    held fold's weights and design are built once and shared by every
+    lambda. The grid is walked from the largest lambda to the smallest,
+    each solve warm-started from the previous lambda's coefficients; after
+    a failed cell the next lambda starts again from beta = 0. Every solve
+    stops on the same config.tol gradient test as a cold earl_fit (or
+    earl_fit_crossfit), so its decisions on the held fold can differ from
+    the cold fit's only where a held-out score lies within that tolerance
+    of 0. With crossfit=True a single-arm fold merge warns once per split,
+    not once per lambda.
+
+    Ties break toward the larger lambda. A split whose nuisance or rule
+    fit fails with an EarlError or LinAlgError contributes NaN (None in
+    the table) and is ignored; any other error propagates. If every value
+    is non-finite the selection fails.
     """
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
         raise DataError(f"need n >= cv_folds, got n={data.n}, cv_folds={config.cv_folds}")
+    if grid[0] < 0:
+        raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
     perm = stream(config.seed, 4242).permutation(data.n)
     folds = [np.sort(f) for f in np.array_split(perm, config.cv_folds)]
     all_idx = np.arange(data.n)
@@ -481,20 +527,26 @@ def select_lambda(
         held = data.subset(hold)
         try:
             w_h = dr_weights(held, *nuisance.fit(held))
-            if not crossfit:
-                w_t = dr_weights(train, *nuisance.fit(train))
+            if crossfit:
+                parts, fm = _crossfit_problems(train, nuisance, config)
+                probs = [prob for *_, prob in parts]
+            else:
+                prob, fm = _build_problem(train, dr_weights(train, *nuisance.fit(train)), config)
+                probs = [prob]
         except (EarlError, np.linalg.LinAlgError):
             continue
-        for i, lam in enumerate(grid):
-            cfg = replace(config, lam=float(lam))
+        Phi_h = fm.design(held.X)
+        starts = [None] * len(probs)
+        for i in reversed(range(len(grid))):
             try:
-                if crossfit:
-                    fit = earl_fit_crossfit(train, nuisance, cfg)
-                else:
-                    fit = earl_fit(train, w_t, cfg)
+                for k, prob in enumerate(probs):
+                    prob.lam = float(grid[i])
+                    starts[k] = _solve(prob, config, starts[k])[0]
+                rule = _mean_rule([LinearRule(b[0], b[1:], fm) for b in starts])
             except (EarlError, np.linalg.LinAlgError):
+                starts = [None] * len(probs)
                 continue
-            vals[i, j] = _dr_value(fit.rule.decide_many(held.X), *w_h)
+            vals[i, j] = _dr_value(sgn(rule.beta0 + Phi_h @ rule.beta), *w_h)
     # the NaN-ignoring mean, without np.nanmean's warning on an all-NaN row
     missing = np.isnan(vals)
     counts = np.sum(~missing, axis=1)

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 import earlkit.earl as earl_mod
-from earlkit.core import DataError, Dataset, FeatureMap, LinearRule, NumericalError
+from earlkit.core import ConfigError, DataError, Dataset, FeatureMap, LinearRule, NumericalError, stream
 from earlkit.earl import (
     DEFAULT_LAMBDA_GRID,
     EarlConfig,
@@ -26,6 +26,7 @@ from earlkit.sim import (
     true_propensity_model,
     true_value_mc,
 )
+from earlkit.value import value_aipwe
 from earlkit.weights import WeightPair, dr_weights
 
 
@@ -304,21 +305,21 @@ def test_select_lambda_propagates_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a fitting failure")
 
-    monkeypatch.setattr(earl_mod, "earl_fit", broken)
+    monkeypatch.setattr(earl_mod, "_solve", broken)
     d = generate_scenario(ScenarioSpec(2, 200), 4)
     with pytest.raises(TypeError):
         select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, 1.0), cv_folds=4, seed=1))
 
 
 def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
-    real_fit = earl_mod.earl_fit
+    real_solve = earl_mod._solve
 
-    def fails_at_one(data, weights, config):
-        if config.lam == 1.0:
+    def fails_at_one(prob, config, b=None):
+        if prob.lam == 1.0:
             raise NumericalError("solver blew up")
-        return real_fit(data, weights, config)
+        return real_solve(prob, config, b)
 
-    monkeypatch.setattr(earl_mod, "earl_fit", fails_at_one)
+    monkeypatch.setattr(earl_mod, "_solve", fails_at_one)
     d = generate_scenario(ScenarioSpec(2, 200), 4)
     sel = select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, 1.0), cv_folds=4, seed=1))
     rows = {row["lambda"]: row for row in sel.table}
@@ -326,6 +327,64 @@ def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
     assert rows[1.0]["fold_values"] == [None] * 4
     assert all(v is not None for v in rows[0.5]["fold_values"])
     assert sel.lambda_ == 0.5
+
+
+def _cold_table(d, spec, cfg, crossfit=False):
+    """select_lambda's table rebuilt from public fits, each started at beta = 0."""
+    perm = stream(cfg.seed, 4242).permutation(d.n)
+    folds = [np.sort(f) for f in np.array_split(perm, cfg.cv_folds)]
+    table = []
+    for lam in sorted(cfg.lambda_grid):
+        c = replace(cfg, lam=lam)
+        row = []
+        for hold in folds:
+            train = d.subset(np.setdiff1d(np.arange(d.n), hold))
+            held = d.subset(hold)
+            if crossfit:
+                fit = earl_fit_crossfit(train, spec, c)
+            else:
+                fit = earl_fit(train, dr_weights(train, *spec.fit(train)), c)
+            row.append(value_aipwe(held, fit.rule, *spec.fit(held)).estimate)
+        table.append({"lambda": lam, "mean_value": float(np.sum(row) / len(row)), "fold_values": row})
+    return tuple(table)
+
+
+@pytest.mark.parametrize(
+    "loss,crossfit",
+    [(loss, False) for loss in ("hinge", "exp", "logistic", "sqhinge")] + [("logistic", True)],
+)
+def test_select_lambda_path_matches_cold_fits(loss, crossfit):
+    grid = (2.0**-5, 2.0**-2, 2.0, 2.0**5)
+    for seed in range(3):
+        d = generate_scenario(ScenarioSpec(2, 300), seed)
+        cfg = EarlConfig(loss=loss, lambda_grid=grid, k_folds=2, seed=seed)
+        sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+        assert sel.table == _cold_table(d, _cc_spec(), cfg, crossfit)
+
+
+def test_select_lambda_restarts_from_zero_after_failed_cell(monkeypatch):
+    real_solve = earl_mod._solve
+    starts = []
+
+    def fails_at_one(prob, config, b=None):
+        starts.append((prob.lam, b))
+        if prob.lam == 1.0:
+            raise NumericalError("solver blew up")
+        return real_solve(prob, config, b)
+
+    monkeypatch.setattr(earl_mod, "_solve", fails_at_one)
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    cfg = EarlConfig(lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, seed=1)
+    sel = select_lambda(d, _cc_spec(), cfg)
+    assert [lam for lam, _ in starts] == [4.0, 1.0, 0.25] * 4
+    assert all(b is None for lam, b in starts if lam != 1.0)
+    assert all(b is not None for lam, b in starts if lam == 1.0)
+    monkeypatch.undo()
+    rows = {row["lambda"]: row for row in sel.table}
+    cold = {row["lambda"]: row for row in _cold_table(d, _cc_spec(), cfg)}
+    assert rows[1.0]["fold_values"] == [None] * 4
+    assert rows[0.25] == cold[0.25]
+    assert rows[4.0] == cold[4.0]
 
 
 def test_n_iter_counts_newton_steps(monkeypatch):
@@ -342,6 +401,12 @@ def test_n_iter_counts_newton_steps(monkeypatch):
     fit = earl_fit(d, w, EarlConfig(loss="logistic", lam=0.1))
     assert fit.converged
     assert fit.n_iter == len(calls) > 0
+
+
+def test_select_lambda_rejects_negative_lambda():
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, -1.0), cv_folds=4, seed=1))
 
 
 def test_select_lambda_needs_enough_rows():
