@@ -384,7 +384,9 @@ def cmd_permtest(args: argparse.Namespace) -> int:
         raise ConfigError("permtest requires --input and --output")
     seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
     data = load_csv(cfg["input"])
-    _, lam = _parse_lambda(cfg["lam"])
+    use_cv, lam = _parse_lambda(cfg["lam"])
+    if use_cv:
+        raise ConfigError("permtest needs a fixed --lambda; 'cv' is supported by fit only")
     rule_fm, nspec = _model_maps(cfg, data.p)
     econf = EarlConfig(loss=str(cfg["loss"]), lam=lam, feature_map=rule_fm, seed=int(seed))
 
@@ -415,20 +417,24 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override its values")
         sp.add_argument("--seed", type=int, help="RNG seed (default: EARL_SEED or 0)")
 
+    def model(sp):
+        # the surrogate, penalty and nuisance flags fit and permtest share
+        sp.add_argument("--loss", help="hinge | exp | logistic | sqhinge")
+        sp.add_argument("--lambda", dest="lam", help="penalty weight; fit also takes 'cv'")
+        sp.add_argument("--rule-features", dest="rule_features", help="feature map of the rule")
+        sp.add_argument("--propensity-features", dest="propensity_features", help="feature map of the propensity model")
+        sp.add_argument("--outcome-features", dest="outcome_features", help="feature map name or 'none'")
+        sp.add_argument("--ridge", type=float, help="ridge weight of the propensity fit")
+        sp.add_argument("--clip-lo", dest="clip_lo", type=float, help="lower propensity clip")
+        sp.add_argument("--clip-hi", dest="clip_hi", type=float, help="upper propensity clip")
+
     sp = sub.add_parser("fit", help="fit a treatment rule from a CSV file")
     common(sp)
     sp.add_argument("--input", help="training CSV (header y,a,x1,...,xp)")
     sp.add_argument("--output", help="rule artifact JSON to write")
     sp.add_argument("--method", choices=["earl", "owl", "qlearning"])
-    sp.add_argument("--loss", help="hinge | exp | logistic | sqhinge")
-    sp.add_argument("--lambda", dest="lam", help="penalty weight, or 'cv'")
+    model(sp)
     sp.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated grid for cv")
-    sp.add_argument("--rule-features", dest="rule_features")
-    sp.add_argument("--propensity-features", dest="propensity_features")
-    sp.add_argument("--outcome-features", dest="outcome_features", help="feature map name or 'none'")
-    sp.add_argument("--ridge", type=float)
-    sp.add_argument("--clip-lo", dest="clip_lo", type=float)
-    sp.add_argument("--clip-hi", dest="clip_hi", type=float)
     sp.add_argument("--crossfit", type=int, help="number of sample-splitting folds K (0 = off)")
     sp.add_argument("--cv-folds", dest="cv_folds", type=int)
     sp.set_defaults(func=cmd_fit)
@@ -468,14 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output")
     sp.add_argument("--b", type=int, help="number of permutations (default 2000)")
     sp.add_argument("--covariates", help="'all' or comma-separated 1-based indices")
-    sp.add_argument("--loss")
-    sp.add_argument("--lambda", dest="lam")
-    sp.add_argument("--rule-features", dest="rule_features")
-    sp.add_argument("--propensity-features", dest="propensity_features")
-    sp.add_argument("--outcome-features", dest="outcome_features")
-    sp.add_argument("--ridge", type=float)
-    sp.add_argument("--clip-lo", dest="clip_lo", type=float)
-    sp.add_argument("--clip-hi", dest="clip_hi", type=float)
+    model(sp)
     sp.set_defaults(func=cmd_permtest)
     return parser
 

@@ -8,6 +8,7 @@ decision rule in the package respects it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 import zlib
@@ -392,12 +393,45 @@ def _csv_header(p: int) -> list[str]:
     return ["y", "a"] + [f"x{j}" for j in range(1, p + 1)]
 
 
+def _parse_rows(path, body: str, expected: list[str]) -> np.ndarray:
+    """Parse the CSV body cell by cell with float(), skipping blank lines;
+    a malformed row or a non-numeric or non-finite cell is a ParseError
+    naming its row (the header is row 1) and column."""
+    rows = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue
+        if len(row) != len(expected):
+            raise ParseError(
+                f"{path}: row {line_no} has {len(row)} fields, expected {len(expected)}"
+            )
+        vals = []
+        for name, cell in zip(expected, row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric value {cell!r} at row {line_no}, column '{name}'"
+                ) from None
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"{path}: non-finite value {cell!r} at row {line_no}, column '{name}'"
+                )
+            vals.append(v)
+        rows.append(vals)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header y,a,x1,...,xp.
 
     The treatment column must hold -1/1, or 0/1 which is remapped to -1/+1
     with a warning. Any non-numeric or non-finite cell is a parse error
-    naming the row and column.
+    naming the row and column. The body is parsed by numpy's C reader;
+    where that fails, or finds a non-finite cell, it is re-read cell by
+    cell to report the error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -420,31 +454,15 @@ def load_csv(path) -> Dataset:
             raise ParseError(
                 f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
             )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(expected):
-                raise ParseError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(expected)}"
-                )
-            vals = []
-            for name, cell in zip(expected, row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {cell!r} at row {line_no}, column '{name}'"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}: non-finite value {cell!r} at row {line_no}, column '{name}'"
-                    )
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+        body = fh.read()
+    arr = None
+    if body.strip():
+        try:
+            arr = np.loadtxt(body.split("\n"), delimiter=",", quotechar='"', ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if arr is None or arr.shape[1] != len(expected) or not np.all(np.isfinite(arr)):
+        arr = _parse_rows(path, body, expected)
     y, a, X = arr[:, 0], arr[:, 1], arr[:, 2:]
     vals = set(np.unique(a).tolist())
     if vals <= {-1.0, 1.0}:

@@ -17,9 +17,11 @@ Lambda is chosen by cross-validated held-out value. Each CV split builds
 its training problem once and solves it down the sorted grid, from the
 largest lambda to the smallest, each solve warm-started from the previous
 lambda's coefficients and restarted from beta = 0 after a failed cell
-(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
-solve stops on the same config.tol gradient test as a cold fit, so only a
-held-out score within that tolerance of 0 can flip a decision.
+(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)); a
+warm-started hinge solve skips the widest smoothings, beginning at
+delta = 1e-3. Every path solve stops on the same config.tol gradient test
+as a cold fit, so only a held-out score within that tolerance of 0 can
+flip a decision.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .core import (
     sgn,
     stream,
 )
-from .losses import SurrogateLoss, get_loss, phi_eval, phi_grad, phi_hess
+from .losses import SurrogateLoss, _phi_slopes, get_loss, phi_eval
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
 from .value import _dr_value
 from .weights import WeightPair, dr_weights
@@ -140,7 +142,12 @@ def _as_weight_arrays(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Problem:
-    """Precomputed pieces of the weighted surrogate objective in b = (beta0, beta)."""
+    """Precomputed pieces of the weighted surrogate objective in b = (beta0, beta).
+
+    A point b is evaluated from its margins (u Z b, v Z b), computed once:
+    value() gives the objective, slopes() the gradient and the Hessian's
+    row weights, and hessian() forms the Hessian from those weights.
+    """
 
     def __init__(self, Z: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray, loss: SurrogateLoss, lam: float):
         self.Z = Z
@@ -153,49 +160,39 @@ class _Problem:
         self.loss = loss
         self.lam = float(lam)
 
-    # the loss and its first two derivatives at the margins t; the
-    # smoothed hinge below overrides them
+    # phi, and phi' with phi'', at the margins t; the smoothed hinge below
+    # overrides both
     def _phi(self, t: np.ndarray) -> np.ndarray:
         return phi_eval(self.loss, t)
 
-    def _dphi(self, t: np.ndarray) -> np.ndarray:
-        return phi_grad(self.loss, t)
+    def _slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _phi_slopes(self.loss.kind, t)
 
-    def _d2phi(self, t: np.ndarray) -> np.ndarray:
-        return phi_hess(self.loss, t)
-
-    def _empirical(self, s: np.ndarray) -> float:
-        return float(
-            np.mean(
-                self.aw * self._phi(self.u * s)
-                + self.bw * self._phi(self.v * s)
-            )
-        )
-
-    def objective(self, b: np.ndarray) -> float:
+    def margins(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = self.Z @ b
-        return self._empirical(s) + self.lam * float(b[1:] @ b[1:])
+        return self.u * s, self.v * s
 
-    def gradient(self, b: np.ndarray) -> np.ndarray:
-        s = self.Z @ b
-        r = (
-            self.aw * self._dphi(self.u * s) * self.u
-            + self.bw * self._dphi(self.v * s) * self.v
-        ) / self.n
-        g = self.Z.T @ r
+    def value(self, b: np.ndarray, m) -> float:
+        risk = float(np.mean(self.aw * self._phi(m[0]) + self.bw * self._phi(m[1])))
+        return risk + self.lam * float(b[1:] @ b[1:])
+
+    def slopes(self, b: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+        (du, hu), (dv, hv) = self._slopes(m[0]), self._slopes(m[1])
+        g = self.Z.T @ ((self.aw * du * self.u + self.bw * dv * self.v) / self.n)
         g[1:] += 2.0 * self.lam * b[1:]
-        return g
+        return g, (self.aw * hu + self.bw * hv) / self.n
 
-    def hessian(self, b: np.ndarray) -> np.ndarray:
-        s = self.Z @ b
-        w = (
-            self.aw * self._d2phi(self.u * s)
-            + self.bw * self._d2phi(self.v * s)
-        ) / self.n
+    def hessian(self, w: np.ndarray) -> np.ndarray:
         H = self.Z.T @ (w[:, None] * self.Z)
         idx = np.arange(1, self.q)
         H[idx, idx] += 2.0 * self.lam
         return H
+
+    def objective(self, b: np.ndarray) -> float:
+        return self.value(b, self.margins(b))
+
+    def gradient(self, b: np.ndarray) -> np.ndarray:
+        return self.slopes(b, self.margins(b))[0]
 
 
 class _SmoothedHinge(_Problem):
@@ -216,12 +213,9 @@ class _SmoothedHinge(_Problem):
         r, d = 1.0 - t, self.delta
         return np.where(r > d, r - 0.5 * d, np.where(r > 0.0, r * r / (2.0 * d), 0.0))
 
-    def _dphi(self, t: np.ndarray) -> np.ndarray:
-        return -np.clip((1.0 - t) / self.delta, 0.0, 1.0)
-
-    def _d2phi(self, t: np.ndarray) -> np.ndarray:
+    def _slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = 1.0 - t
-        return ((r > 0.0) & (r <= self.delta)) / self.delta
+        return -np.clip(r / self.delta, 0.0, 1.0), ((r > 0.0) & (r <= self.delta)) / self.delta
 
 
 def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
@@ -264,7 +258,7 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
     scale = max(float(np.max(np.abs(H))), 1e-30)
     for damp in (0.0, 1e-12, 1e-8, 1e-4, 1.0):
         try:
-            d = np.linalg.solve(H + damp * scale * np.eye(q), -g)
+            d = np.linalg.solve(H if damp == 0.0 else H + damp * scale * np.eye(q), -g)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(d)) and float(g @ d) < 0.0:
@@ -275,7 +269,8 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
 def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
     if b is None:
         b = np.zeros(prob.q)
-    f = prob.objective(b)
+    m = prob.margins(b)
+    f = prob.value(b, m)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting coefficient vector")
     best_f, best_b = f, b.copy()
@@ -284,20 +279,22 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     stall = 0
     steps = 0
     for _ in range(max_iter):
-        g = prob.gradient(b)
+        g, w = prob.slopes(b, m)
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < tol:
             converged = True
             break
-        for delta in _descent_directions(prob.hessian(b), g):
+        for delta in _descent_directions(prob.hessian(w), g):
             gd = float(g @ delta)
             t = 1.0
             # Armijo with an absolute-noise allowance so steps near machine
             # precision are not rejected spuriously
             while t >= 1e-14:
-                fn = prob.objective(b + t * delta)
+                bn = b + t * delta
+                mn = prob.margins(bn)
+                fn = prob.value(bn, mn)
                 if np.isfinite(fn) and fn <= f + _ARMIJO * t * gd + 1e-14 * (1.0 + abs(f)):
                     break
                 t *= 0.5
@@ -305,7 +302,7 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
                 break
         else:
             break
-        b = b + t * delta
+        b, m = bn, mn
         steps += 1
         if fn < best_f:
             best_f, best_b = fn, b.copy()
@@ -317,19 +314,18 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
             stall = 0
         f = fn
     if converged:
-        out_b, out_f = b, f
-    else:
-        out_b, out_f = best_b, best_f
-    grad_norm = float(np.max(np.abs(prob.gradient(out_b))))
-    return out_b, out_f, steps, grad_norm, converged or grad_norm < tol
+        return b, f, steps, grad_norm, True
+    grad_norm = float(np.max(np.abs(prob.gradient(best_b))))
+    return best_b, best_f, steps, grad_norm, grad_norm < tol
 
 
 def _solve_hinge(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
     zero = np.zeros(prob.q)
-    if b is None:
-        b = zero
+    # a warm start (a neighbouring lambda's solution) skips the widest stages
+    deltas = _HINGE_DELTAS if b is None else _HINGE_DELTAS[3:]
+    b = zero if b is None else b
     n_iter = 0
-    for delta in _HINGE_DELTAS:
+    for delta in deltas:
         b, _, it, grad_norm, converged = _solve_smooth(_SmoothedHinge(prob, delta), tol, max_iter, b)
         n_iter += it
     f, f0 = prob.objective(b), prob.objective(zero)
@@ -500,7 +496,9 @@ def select_lambda(
     held fold's weights and design are built once and shared by every
     lambda. The grid is walked from the largest lambda to the smallest,
     each solve warm-started from the previous lambda's coefficients; after
-    a failed cell the next lambda starts again from beta = 0. Every solve
+    a failed cell the next lambda starts again from beta = 0. A
+    warm-started hinge solve begins its smoothing continuation at
+    delta = 1e-3 instead of 1. Every solve
     stops on the same config.tol gradient test as a cold earl_fit (or
     earl_fit_crossfit), so its decisions on the held fold can differ from
     the cold fit's only where a held-out score lies within that tolerance

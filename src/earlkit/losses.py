@@ -98,33 +98,35 @@ def phi_eval(loss, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _phi_slopes(kind: str, t: np.ndarray):
+    """phi'(t) and phi''(t) of a smooth loss from shared subexpressions."""
+    if kind == "exp":
+        c = _capped_exp(t)
+        return -c, c
+    if kind == "logistic":
+        e = expit(-t)
+        return -e, e * expit(t)
+    r = 1.0 - t
+    return -2.0 * np.maximum(r, 0.0), np.where(r > 0.0, 2.0, 0.0)
+
+
 def phi_grad(loss, t):
     """Derivative of phi; the hinge subgradient is fixed to 0 at the kink."""
     loss = get_loss(loss)
     t = np.asarray(t, dtype=float)
     if loss.kind == "hinge":
         out = np.where(t < 1.0, -1.0, 0.0)
-    elif loss.kind == "exp":
-        out = -_capped_exp(t)
-    elif loss.kind == "logistic":
-        out = -expit(-t)
     else:
-        out = -2.0 * np.maximum(1.0 - t, 0.0)
+        out = _phi_slopes(loss.kind, t)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def phi_hess(loss, t):
     """Second derivative (generalized, for sqhinge) of the smooth losses."""
     loss = get_loss(loss)
-    t = np.asarray(t, dtype=float)
-    if loss.kind == "exp":
-        out = _capped_exp(t)
-    elif loss.kind == "logistic":
-        out = expit(-t) * expit(t)
-    elif loss.kind == "sqhinge":
-        out = np.where(t < 1.0, 2.0, 0.0)
-    else:
+    if loss.kind == "hinge":
         raise ConfigError("hinge loss has no second derivative")
+    out = _phi_slopes(loss.kind, np.asarray(t, dtype=float))[1]
     return float(out) if out.ndim == 0 else out
 
 

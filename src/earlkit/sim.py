@@ -267,8 +267,11 @@ def run_experiment(
     share the same training draw, and each scenario shares one validation
     sample, mirroring a single stored validation set. Replicates run on
     independent derived RNG streams, so results are identical for any
-    thread count. A failing fit yields a record with a NaN value and the
-    error message; the run continues.
+    thread count. Run threads > 1 with OPENBLAS_NUM_THREADS=1 (or the
+    equivalent for the BLAS in use): the workers otherwise stack on BLAS's
+    own threads, which made a default search at n=500 take 1.6 s instead
+    of 0.055 s on a busy 2-vCPU host. A failing fit yields a record with a
+    NaN value and the error message; the run continues.
     """
     scenarios = [int(s) for s in scenarios]
     spec_list = [ModelSpec(str(c)) for c in specs]

@@ -186,3 +186,32 @@ def test_artifact_round_trips_through_schema(tmp_path, train_csv):
     assert rule.beta0 == artifact["beta0"]
     assert prop.gamma.shape[0] == len(artifact["propensity"]["gamma"])
     assert out is not None
+
+
+_MODEL_FLAGS = (
+    "--loss", "--lambda", "--rule-features", "--propensity-features",
+    "--outcome-features", "--ridge", "--clip-lo", "--clip-hi",
+)
+
+
+def test_fit_and_permtest_share_model_flags():
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+    def flags(name):
+        return {
+            opt: (a.dest, a.type, a.help)
+            for a in subparsers[name]._actions
+            for opt in a.option_strings
+            if opt in _MODEL_FLAGS
+        }
+
+    assert set(flags("fit")) == set(_MODEL_FLAGS)
+    assert flags("fit") == flags("permtest")
+    assert all(h for _, _, h in flags("fit").values())
+
+
+def test_permtest_rejects_cv_lambda(tmp_path, train_csv, capsys):
+    rc = cli.main(["permtest", "--input", train_csv, "--output", str(tmp_path / "p.csv"),
+                   "--b", "5", "--lambda", "cv"])
+    assert rc == cli.EXIT_CONFIG
+    assert "--lambda" in capsys.readouterr().err

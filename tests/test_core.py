@@ -175,6 +175,48 @@ def test_csv_round_trip_is_bitwise(tmp_path):
     path2 = tmp_path / "rt2.csv"
     save_csv(d2, path2)
     assert path.read_text() == path2.read_text()
+    # bit for bit at the size of the benchmark's fits, over many magnitudes
+    X = rng.normal(size=(2500, 10)) * 10.0 ** rng.integers(-12, 12, size=(2500, 10))
+    d = Dataset(X, np.where(rng.random(2500) < 0.3, 1, -1), rng.standard_cauchy(2500))
+    save_csv(d, path)
+    d2 = load_csv(path)
+    assert d2.X.tobytes() == d.X.tobytes() and d2.Y.tobytes() == d.Y.tobytes()
+    assert np.array_equal(d2.A, d.A)
+
+
+def test_load_csv_blank_lines_and_quoted_header(tmp_path):
+    path = _write(tmp_path, '"y","a","x1"\n1.5,1,0.1\n\n   \n-2.0,-1,"0.3"\n\n')
+    d = load_csv(path)
+    assert list(d.Y) == [1.5, -2.0] and list(d.A) == [1, -1] and list(d.X[:, 0]) == [0.1, 0.3]
+
+
+@pytest.mark.parametrize(
+    "text,y",
+    [("y,a,x1\r\n1.0,1,2.5\r\n", 1.0), ("y,a,x1\r1.0,1,2.5\r", 1.0), ("y,a,x1\n1_0,1, 2.5 \n", 10.0)],
+)
+def test_load_csv_accepts_what_float_accepts(tmp_path, text, y):
+    d = load_csv(_write(tmp_path, text))
+    assert list(d.Y) == [y] and list(d.A) == [1] and list(d.X[:, 0]) == [2.5]
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1.0,1,0.1\n2.0,1\n", "row 3 has 2 fields, expected 3"),
+        ("1.0,1,0.1,9\n2.0,1,0.2,9\n", "row 2 has 4 fields, expected 3"),
+        ("1.0,1,0.1\n\n2.0,1,oops\n", "non-numeric value 'oops' at row 4, column 'x1'"),
+        ("1.0,1,0.1\n2.0,,0.2\n", "non-numeric value '' at row 3, column 'a'"),
+        ("1.0,1,0.1\n2.0,1,inf\n", "non-finite value 'inf' at row 3, column 'x1'"),
+        ("1.0,1,0.1\n1e999,1,0.2\n", "non-finite value '1e999' at row 3, column 'y'"),
+        ("1.0,1,nan\n", "non-finite value 'nan' at row 2, column 'x1'"),
+        ("\n  \n", "no data rows"),
+    ],
+)
+def test_load_csv_errors_name_row_and_column(tmp_path, body, message):
+    path = _write(tmp_path, "y,a,x1\n" + body)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_rule_coefficient_lookup():

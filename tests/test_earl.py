@@ -16,7 +16,7 @@ from earlkit.earl import (
     earl_objective,
     select_lambda,
 )
-from earlkit.losses import phi_eval
+from earlkit.losses import phi_eval, phi_grad, phi_hess
 from earlkit.nuisance import NuisanceSpec
 from earlkit.sim import (
     ModelSpec,
@@ -351,7 +351,7 @@ def _cold_table(d, spec, cfg, crossfit=False):
 
 @pytest.mark.parametrize(
     "loss,crossfit",
-    [(loss, False) for loss in ("hinge", "exp", "logistic", "sqhinge")] + [("logistic", True)],
+    [(loss, False) for loss in ("hinge", "exp", "logistic", "sqhinge")] + [("logistic", True), ("hinge", True)],
 )
 def test_select_lambda_path_matches_cold_fits(loss, crossfit):
     grid = (2.0**-5, 2.0**-2, 2.0, 2.0**5)
@@ -460,3 +460,77 @@ def test_hinge_matches_linear_program_at_lambda_zero():
         assert fit.converged
         assert fit.objective_value - lp.fun <= 1e-5 * (1.0 + abs(lp.fun))
         assert fit.objective_value >= lp.fun - 1e-7 * (1.0 + abs(lp.fun))
+
+
+def _reference_terms(loss, delta):
+    """phi, phi' and phi'' written out separately: from phi_eval/phi_grad/
+    phi_hess for a smooth loss, from its definition for a smoothed hinge."""
+    if delta is None:
+        return (lambda t: phi_eval(loss, t)), (lambda t: phi_grad(loss, t)), (lambda t: phi_hess(loss, t))
+
+    def phi(t):
+        r = 1.0 - t
+        return np.where(r > delta, r - 0.5 * delta, np.where(r > 0.0, r * r / (2.0 * delta), 0.0))
+
+    def dphi(t):
+        return -np.clip((1.0 - t) / delta, 0.0, 1.0)
+
+    def d2phi(t):
+        r = 1.0 - t
+        return ((r > 0.0) & (r <= delta)) / delta
+
+    return phi, dphi, d2phi
+
+
+@pytest.mark.parametrize(
+    "loss,delta",
+    [("exp", None), ("logistic", None), ("sqhinge", None), ("hinge", 1.0), ("hinge", 1e-2), ("hinge", 1e-5)],
+)
+def test_evaluator_equals_separate_formulas(loss, delta):
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        n, p = int(rng.integers(3, 40)), int(rng.integers(1, 4))
+        d = Dataset(rng.normal(size=(n, p)), np.where(rng.random(n) < 0.5, 1, -1), rng.normal(size=n))
+        w_pos, w_neg = rng.normal(size=n) * 3, rng.normal(size=n) * 3
+        w_neg[: n // 4] = 0.0
+        lam = float(rng.uniform(0.0, 1.0))
+        prob, _ = _build_problem(d, (w_pos, w_neg), EarlConfig(loss=loss, lam=lam))
+        if delta is not None:
+            prob = earl_mod._SmoothedHinge(prob, delta)
+        # the last trials put every margin on a kink: t = +-1 (sqhinge), r = delta
+        b = rng.normal(size=p + 1) * 2.0 ** rng.integers(-3, 4)
+        if trial >= 18:
+            b = np.zeros(p + 1)
+            b[0] = 1.0 if trial == 18 or delta is None else 1.0 - delta
+        phi, dphi, d2phi = _reference_terms(loss, delta)
+        s = prob.Z @ b
+        aw, bw, u, v = np.abs(w_pos), np.abs(w_neg), prob.u, prob.v
+        f = float(np.mean(aw * phi(u * s) + bw * phi(v * s))) + lam * float(b[1:] @ b[1:])
+        g = prob.Z.T @ ((aw * dphi(u * s) * u + bw * dphi(v * s) * v) / n)
+        g[1:] += 2.0 * lam * b[1:]
+        H = prob.Z.T @ (((aw * d2phi(u * s) + bw * d2phi(v * s)) / n)[:, None] * prob.Z)
+        H[np.arange(1, p + 1), np.arange(1, p + 1)] += 2.0 * lam
+        m = prob.margins(b)
+        g_new, w = prob.slopes(b, m)
+        assert prob.value(b, m) == f == prob.objective(b)
+        assert np.array_equal(g_new, g) and np.array_equal(prob.gradient(b), g)
+        assert np.array_equal(prob.hessian(w), H)
+
+
+def test_warm_hinge_solve_starts_at_narrow_smoothing(monkeypatch):
+    real_smooth = earl_mod._solve_smooth
+    stages = []
+
+    def recorded(prob, tol, max_iter, b=None):
+        stages.append(prob.delta)
+        return real_smooth(prob, tol, max_iter, b)
+
+    monkeypatch.setattr(earl_mod, "_solve_smooth", recorded)
+    d = generate_scenario(ScenarioSpec(2, 200), 3)
+    cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, seed=2)
+    sel = select_lambda(d, _cc_spec(), cfg)
+    cold, warm = list(earl_mod._HINGE_DELTAS), list(earl_mod._HINGE_DELTAS[3:])
+    # each of the 4 splits: a cold solve at lambda = 4, then two warm ones
+    assert stages == (cold + warm + warm) * 4
+    monkeypatch.undo()
+    assert sel.table == _cold_table(d, _cc_spec(), cfg)

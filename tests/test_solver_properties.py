@@ -1,0 +1,78 @@
+"""Property tests: the solver status a fit reports is true of what it returns."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import earlkit.earl as earl_mod
+from earlkit.core import Dataset, EarlError, FeatureMap
+from earlkit.earl import EarlConfig, _build_problem, select_lambda
+from earlkit.losses import LOSS_NAMES
+from earlkit.nuisance import NuisanceSpec
+
+
+def _data(seed, n, p):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    A = np.where(rng.random(n) < 0.5, 1, -1)
+    Y = X[:, 0] * A + rng.normal(size=n) * 2.0 ** rng.integers(-2, 3)
+    return Dataset(X, A, Y), rng
+
+
+def _check_status(prob, tol, solution):
+    """grad_norm is the sup-norm of a fresh gradient at the returned b (for
+    the hinge, of its narrowest smoothing), and converged means it passed."""
+    b, _, _, grad_norm, converged = solution
+    if not prob.loss.smooth:
+        if not np.any(b):
+            return  # the beta = 0 guard replaced the smoothed solution
+        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTAS[-1])
+    assert grad_norm == float(np.max(np.abs(prob.gradient(b))))
+    assert not converged or grad_norm < tol
+
+
+_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 120),
+    p=st.integers(1, 3),
+    loss=st.sampled_from(LOSS_NAMES),
+    log2_lam=st.integers(-8, 5),
+    max_iter=st.sampled_from([1, 2, 5000]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_cases)
+def test_cold_solve_reports_true_status(seed, n, p, loss, log2_lam, max_iter):
+    d, rng = _data(seed, n, p)
+    w = (rng.normal(size=n) * 3, rng.normal(size=n) * 3)
+    cfg = EarlConfig(loss=loss, lam=2.0**log2_lam, max_iter=max_iter)
+    prob, _ = _build_problem(d, w, cfg)
+    try:
+        solution = earl_mod._solve(prob, cfg)
+    except EarlError:
+        return
+    _check_status(prob, cfg.tol, solution)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_cases)
+def test_cv_path_solves_report_true_status(seed, n, p, loss, log2_lam, max_iter):
+    d, _ = _data(seed, n, p)
+    spec = NuisanceSpec(FeatureMap.linear(p), FeatureMap.from_name("linear*a", p))
+    grid = tuple(2.0 ** (log2_lam + k) for k in (-3, 0, 3))
+    cfg = EarlConfig(loss=loss, lambda_grid=grid, cv_folds=3, max_iter=max_iter, seed=seed)
+    real_solve = earl_mod._solve
+
+    def checking(prob, config, b=None):
+        solution = real_solve(prob, config, b)
+        _check_status(prob, config.tol, solution)
+        return solution
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(earl_mod, "_solve", checking)
+        try:
+            select_lambda(d, spec, cfg)
+        except EarlError:
+            pass
