@@ -393,14 +393,19 @@ def _csv_header(p: int) -> list[str]:
     return ["y", "a"] + [f"x{j}" for j in range(1, p + 1)]
 
 
+def _body_rows(body: str):
+    """(line number, cells) of each non-blank CSV row; the header is row 1."""
+    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if row and not (len(row) == 1 and row[0].strip() == ""):
+            yield line_no, row
+
+
 def _parse_rows(path, body: str, expected: list[str]) -> np.ndarray:
     """Parse the CSV body cell by cell with float(), skipping blank lines;
     a malformed row or a non-numeric or non-finite cell is a ParseError
-    naming its row (the header is row 1) and column."""
+    naming its row and column."""
     rows = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row or (len(row) == 1 and row[0].strip() == ""):
-            continue
+    for line_no, row in _body_rows(body):
         if len(row) != len(expected):
             raise ParseError(
                 f"{path}: row {line_no} has {len(row)} fields, expected {len(expected)}"
@@ -471,10 +476,15 @@ def load_csv(path) -> Dataset:
         warnings.warn("treatment column coded 0/1; remapping 0 -> -1", stacklevel=2)
         a = np.where(a == 0.0, -1.0, 1.0)
     else:
-        bad = next(i for i, v in enumerate(a) if v not in (-1.0, 1.0, 0.0))
-        raise ParseError(
-            f"{path}: row {bad + 2}, column 'a': treatment must be -1/1 or 0/1, got {a[bad]}"
-        )
+        # the column fits neither coding, so some row is the first to leave
+        # both; arr holds the body's non-blank rows in order
+        seen = set()
+        for (line_no, _), v in zip(_body_rows(body), a.tolist()):
+            seen.add(v)
+            if not (seen <= {-1.0, 1.0} or seen <= {0.0, 1.0}):
+                raise ParseError(
+                    f"{path}: row {line_no}, column 'a': treatment must be all -1/1 or all 0/1, got {v}"
+                )
     return Dataset(X, a, y)
 
 

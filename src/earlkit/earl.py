@@ -42,7 +42,7 @@ from .core import (
     sgn,
     stream,
 )
-from .losses import SurrogateLoss, _phi_slopes, get_loss, phi_eval
+from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
 from .value import _dr_value
 from .weights import WeightPair, dr_weights
@@ -144,9 +144,13 @@ def _as_weight_arrays(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
 class _Problem:
     """Precomputed pieces of the weighted surrogate objective in b = (beta0, beta).
 
-    A point b is evaluated from its margins (u Z b, v Z b), computed once:
-    value() gives the objective, slopes() the gradient and the Hessian's
-    row weights, and hessian() forms the Hessian from those weights.
+    A subject's two instances have the margins u s and v s, with s = Z b
+    and u, v = +-1. margins() evaluates a point b once: the loss pieces
+    its two margins share (for the logistic loss, every transcendental)
+    and each instance's phi. value() gives the objective from them and
+    slopes() the gradient and the Hessian's row weights, which the solver
+    asks for only at accepted points; hessian() forms the Hessian from
+    those weights.
     """
 
     def __init__(self, Z: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray, loss: SurrogateLoss, lam: float):
@@ -157,28 +161,38 @@ class _Problem:
         self.bw = np.abs(w_neg)
         self.u = np.asarray(sgn(w_pos), dtype=float)
         self.v = -np.asarray(sgn(w_neg), dtype=float)
+        # the loss takes -t = -u s; a gradient row is
+        # aw phi'(u s) u = (-aw u) (-phi'(u s)), and likewise for v, where
+        # every sign flip is exact
+        self.nu, self.nv = -self.u, -self.v
+        self.gu, self.gv = self.aw * self.nu, self.bw * self.nv
         self.loss = loss
         self.lam = float(lam)
 
-    # phi, and phi' with phi'', at the margins t; the smoothed hinge below
-    # overrides both
-    def _phi(self, t: np.ndarray) -> np.ndarray:
-        return phi_eval(self.loss, t)
+    # phi, and -phi' with phi'', at the margins t = -mt; the smoothed hinge
+    # below overrides both
+    def _phi(self, mt: np.ndarray, shared) -> np.ndarray:
+        return _phi(self.loss.kind, mt, shared)
 
-    def _slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _phi_slopes(self.loss.kind, t)
+    def _slopes(self, mt: np.ndarray, shared, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _slopes(self.loss.kind, mt, shared, phi)
 
-    def margins(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def margins(self, b: np.ndarray):
         s = self.Z @ b
-        return self.u * s, self.v * s
+        shared = _shared(self.loss.kind, s)
+        mu, mv = self.nu * s, self.nv * s
+        return mu, mv, shared, self._phi(mu, shared), self._phi(mv, shared)
 
     def value(self, b: np.ndarray, m) -> float:
-        risk = float(np.mean(self.aw * self._phi(m[0]) + self.bw * self._phi(m[1])))
+        *_, fu, fv = m
+        # the sum over n is np.mean's arithmetic without its call overhead
+        risk = float((self.aw * fu + self.bw * fv).sum()) / self.n
         return risk + self.lam * float(b[1:] @ b[1:])
 
     def slopes(self, b: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
-        (du, hu), (dv, hv) = self._slopes(m[0]), self._slopes(m[1])
-        g = self.Z.T @ ((self.aw * du * self.u + self.bw * dv * self.v) / self.n)
+        mu, mv, shared, fu, fv = m
+        (pu, hu), (pv, hv) = self._slopes(mu, shared, fu), self._slopes(mv, shared, fv)
+        g = self.Z.T @ ((self.gu * pu + self.gv * pv) / self.n)
         g[1:] += 2.0 * self.lam * b[1:]
         return g, (self.aw * hu + self.bw * hv) / self.n
 
@@ -209,13 +223,13 @@ class _SmoothedHinge(_Problem):
         self.__dict__.update(prob.__dict__)
         self.delta = delta
 
-    def _phi(self, t: np.ndarray) -> np.ndarray:
-        r, d = 1.0 - t, self.delta
+    def _phi(self, mt: np.ndarray, shared) -> np.ndarray:
+        r, d = 1.0 + mt, self.delta
         return np.where(r > d, r - 0.5 * d, np.where(r > 0.0, r * r / (2.0 * d), 0.0))
 
-    def _slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = 1.0 - t
-        return -np.clip(r / self.delta, 0.0, 1.0), ((r > 0.0) & (r <= self.delta)) / self.delta
+    def _slopes(self, mt: np.ndarray, shared, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = 1.0 + mt
+        return np.clip(r / self.delta, 0.0, 1.0), ((r > 0.0) & (r <= self.delta)) / self.delta
 
 
 def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:

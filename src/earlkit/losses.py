@@ -11,8 +11,13 @@ Each loss has a transform psi on [0, 1] that converts an excess surrogate
 risk into a bound on the value shortfall; psi is nondecreasing with
 psi(0) = 0 and is inverted numerically where no closed form exists.
 
-Note the logistic loss is implemented exactly as log(1 + exp(-t)), so
-phi(0) = log 2 rather than 1; the other three satisfy phi(0) = 1.
+The logistic loss is evaluated as max(-t, 0) + log1p(e) with
+e = exp(-|t|), so phi(0) = log 2 rather than 1; the other three satisfy
+phi(0) = 1. Its slope and curvature come from the same exponential:
+with sigma = 1 / (1 + e), phi'(t) = -e sigma for t >= 0 and -sigma for
+t < 0, and phi''(t) = e sigma sigma. A subject's two classification
+margins are +-f(x), so the solver computes e once per subject and reads
+both instances' terms from it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import xlogy
 
 from .core import ConfigError, DomainError
 
@@ -79,46 +84,66 @@ def get_loss(loss) -> SurrogateLoss:
     return SurrogateLoss(_ALIASES[key])
 
 
-def _capped_exp(t):
-    return np.exp(np.minimum(-np.asarray(t, dtype=float), _EXP_CAP))
+def _shared(kind: str, s: np.ndarray):
+    """Pieces of phi common to the margins +-s, or None where there are none.
+
+    For the logistic loss these are log1p(e), sigma, e sigma and
+    e sigma sigma, with e = exp(-|s|) and sigma = 1 / (1 + e).
+    """
+    if kind != "logistic":
+        return None
+    e = np.exp(-np.abs(s))
+    sig = 1.0 / (1.0 + e)
+    es = e * sig
+    return np.log1p(e), sig, es, es * sig
+
+
+def _phi(kind: str, mt: np.ndarray, shared) -> np.ndarray:
+    """phi(t) at the margins t = -mt, where shared is _shared(kind, t),
+    which is also _shared(kind, -t)."""
+    if kind == "logistic":
+        return np.maximum(mt, 0.0) + shared[0]
+    if kind == "exp":
+        return np.exp(np.minimum(mt, _EXP_CAP))
+    m = np.maximum(1.0 + mt, 0.0)
+    return m if kind == "hinge" else m**2
+
+
+def _slopes(kind: str, mt: np.ndarray, shared, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-phi'(t) and phi''(t) of a smooth loss at t = -mt, reusing shared and
+    phi = _phi(kind, mt, shared)."""
+    if kind == "logistic":
+        _, sig, es, curv = shared
+        return np.where(mt > 0.0, sig, es), curv
+    if kind == "exp":
+        return phi, phi
+    r = 1.0 + mt
+    return 2.0 * np.maximum(r, 0.0), np.where(r > 0.0, 2.0, 0.0)
+
+
+def _slopes_at(kind: str, t) -> tuple[np.ndarray, np.ndarray]:
+    t = np.asarray(t, dtype=float)
+    mt, shared = -t, _shared(kind, t)
+    return _slopes(kind, mt, shared, _phi(kind, mt, shared))
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_eval(loss, t):
     """phi(t), elementwise over arrays."""
-    loss = get_loss(loss)
+    kind = get_loss(loss).kind
     t = np.asarray(t, dtype=float)
-    if loss.kind == "hinge":
-        out = np.maximum(1.0 - t, 0.0)
-    elif loss.kind == "exp":
-        out = _capped_exp(t)
-    elif loss.kind == "logistic":
-        out = np.logaddexp(0.0, -t)
-    else:
-        out = np.maximum(1.0 - t, 0.0) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def _phi_slopes(kind: str, t: np.ndarray):
-    """phi'(t) and phi''(t) of a smooth loss from shared subexpressions."""
-    if kind == "exp":
-        c = _capped_exp(t)
-        return -c, c
-    if kind == "logistic":
-        e = expit(-t)
-        return -e, e * expit(t)
-    r = 1.0 - t
-    return -2.0 * np.maximum(r, 0.0), np.where(r > 0.0, 2.0, 0.0)
+    return _scalar_or_array(_phi(kind, -t, _shared(kind, t)))
 
 
 def phi_grad(loss, t):
     """Derivative of phi; the hinge subgradient is fixed to 0 at the kink."""
     loss = get_loss(loss)
-    t = np.asarray(t, dtype=float)
     if loss.kind == "hinge":
-        out = np.where(t < 1.0, -1.0, 0.0)
-    else:
-        out = _phi_slopes(loss.kind, t)[0]
-    return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(np.where(np.asarray(t, dtype=float) < 1.0, -1.0, 0.0))
+    return _scalar_or_array(-_slopes_at(loss.kind, t)[0])
 
 
 def phi_hess(loss, t):
@@ -126,8 +151,7 @@ def phi_hess(loss, t):
     loss = get_loss(loss)
     if loss.kind == "hinge":
         raise ConfigError("hinge loss has no second derivative")
-    out = _phi_slopes(loss.kind, np.asarray(t, dtype=float))[1]
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_slopes_at(loss.kind, t)[1])
 
 
 def _psi_scalar(kind: str, theta: float) -> float:

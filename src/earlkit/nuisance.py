@@ -82,12 +82,17 @@ class PropensityModel:
         p1 = expit(self.linear_predictor(X))
         return p1 if a == 1 else 1.0 - p1
 
+    def probs(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped (pi(1; x), pi(-1; x)) from one prediction, each inside [lo, hi]."""
+        p1 = self.raw_prob(X, 1)
+        lo, hi = self.clip
+        return np.clip(p1, lo, hi), np.clip(1.0 - p1, lo, hi)
+
     def prob(self, X, a: int) -> np.ndarray:
         """Clipped pi(a; x), guaranteed inside [lo, hi]."""
         if a not in (-1, 1):
             raise DomainError(f"treatment arm must be -1 or +1, got {a}")
-        lo, hi = self.clip
-        return np.clip(self.raw_prob(X, a), lo, hi)
+        return self.probs(X)[0 if a == 1 else 1]
 
 
 def predict_propensity(model: PropensityModel, x, a: int) -> float:

@@ -45,9 +45,7 @@ class ValueEstimate:
 def _pieces(data: Dataset, rule: LinearRule, propensity: PropensityModel):
     d = rule.decide_many(data.X)
     match = (data.A == d).astype(float)
-    pi_pos = propensity.prob(data.X, 1)
-    pi_neg = propensity.prob(data.X, -1)
-    return d, match, pi_pos, pi_neg
+    return d, match, *propensity.probs(data.X)
 
 
 def value_ipwe(data: Dataset, rule: LinearRule, propensity: PropensityModel) -> ValueEstimate:

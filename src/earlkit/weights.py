@@ -88,8 +88,7 @@ def dr_weights(
     |W_a| <= (|Y| + |Q|) / lo. outcome None means Q-hat identically zero
     (the outcome-weighted-learning special case).
     """
-    pi_pos = propensity.prob(data.X, 1)
-    pi_neg = propensity.prob(data.X, -1)
+    pi_pos, pi_neg = propensity.probs(data.X)
     if outcome is None:
         q_pos = np.zeros(data.n)
         q_neg = np.zeros(data.n)

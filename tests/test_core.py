@@ -162,6 +162,18 @@ def test_load_csv_bad_treatment_code(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_mixed_treatment_codes_is_parse_error(tmp_path):
+    path = _write(tmp_path, "y,a,x1\n1,-1,.5\n2,0,.1\n3,1,.2\n")
+    with pytest.raises(ParseError, match="row 3, column 'a'.*got 0.0"):
+        load_csv(path)
+
+
+def test_load_csv_bad_treatment_code_names_its_line(tmp_path):
+    path = _write(tmp_path, "y,a,x1\n\n\n1.0,1,0.1\n2.0,5,0.2\n")
+    with pytest.raises(ParseError, match="row 5, column 'a'.*got 5.0"):
+        load_csv(path)
+
+
 def test_csv_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     d = Dataset(rng.normal(size=(25, 4)) * 1e3, np.where(rng.random(25) < 0.4, 1, -1), rng.normal(size=25) / 3)

@@ -80,18 +80,38 @@ def test_hessians_match_finite_differences():
             assert phi_hess(name, t) == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+def _grid():
+    rng = np.random.default_rng(9)
+    return np.concatenate(
+        [rng.normal(size=2000) * 10.0 ** rng.integers(-3, 3, 2000), [-800.0, -1.0, -0.0, 0.0, 1.0, 800.0]]
+    )
+
+
 def test_derivatives_equal_their_closed_forms_exactly():
     # pins the rounding of the formulas the Newton solver evaluates
-    from scipy.special import expit
-
-    rng = np.random.default_rng(9)
-    t = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.integers(-3, 3, 2000), [-800.0, -1.0, 0.0, 1.0, 800.0]])
+    t = _grid()
     capped = np.exp(np.minimum(-t, 700.0))
     assert np.array_equal(phi_grad("exp", t), -capped) and np.array_equal(phi_hess("exp", t), capped)
-    assert np.array_equal(phi_grad("logistic", t), -expit(-t))
-    assert np.array_equal(phi_hess("logistic", t), expit(-t) * expit(t))
+    e = np.exp(-np.abs(t))
+    sig = 1.0 / (1.0 + e)
+    assert np.array_equal(phi_eval("logistic", t), np.maximum(-t, 0.0) + np.log1p(e))
+    assert np.array_equal(phi_grad("logistic", t), -np.where(t >= 0.0, e * sig, sig))
+    assert np.array_equal(phi_hess("logistic", t), e * sig * sig)
     assert np.array_equal(phi_grad("sqhinge", t), -2.0 * np.maximum(1.0 - t, 0.0))
     assert np.array_equal(phi_hess("sqhinge", t), np.where(t < 1.0, 2.0, 0.0))
+
+
+def test_logistic_terms_match_logaddexp_and_expit():
+    from scipy.special import expit
+
+    t = _grid()
+
+    def close(a, b):
+        return np.all(np.abs(a - b) <= 1e-15 * np.abs(b))
+
+    assert close(phi_eval("logistic", t), np.logaddexp(0.0, -t))
+    assert close(phi_grad("logistic", t), -expit(-t))
+    assert close(phi_hess("logistic", t), expit(-t) * expit(t))
 
 
 def test_convexity_of_every_loss():

@@ -137,6 +137,9 @@ def test_normalized_invariant_to_power_of_two_rescaling():
             pi = base if a == 1 else 1.0 - base
             return self.c * pi
 
+        def probs(self, X):
+            return self.prob(X, 1), self.prob(X, -1)
+
     v1 = value_ipwe_normalized(d, rule, _Scaled(1.0))
     for c in (0.5, 0.25, 2.0):
         vc = value_ipwe_normalized(d, rule, _Scaled(c))
