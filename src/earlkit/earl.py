@@ -9,6 +9,10 @@ penalized. Every loss is solved by damped Newton iterations with
 backtracking; the hinge loss by a continuation over Huber-smoothed hinges
 of shrinking width, each stage warm-started from the last (Chapelle 2007,
 Neural Computation 19:1155; Nesterov 2005, Math. Programming 103:127).
+A smoothed-hinge objective is piecewise quadratic along a line, so each
+of its line searches starts at the exact 1-D minimizer rather than at the
+full Newton step; that first trial point still has to pass the Armijo
+test, and the search halves it after a failure.
 Cross-fitting partitions the sample into K folds, fits the nuisance models
 on fold I_k, runs the weighted minimization on the complement, and
 averages the K coefficient vectors.
@@ -202,6 +206,11 @@ class _Problem:
         H[idx, idx] += 2.0 * self.lam
         return H
 
+    def first_step(self, b: np.ndarray, m, d: np.ndarray, gd: float) -> float:
+        """The step length the line search tries first along d from b, with
+        m = margins(b) and gd = g d: the full Newton step."""
+        return 1.0
+
     def objective(self, b: np.ndarray) -> float:
         return self.value(b, self.margins(b))
 
@@ -230,6 +239,42 @@ class _SmoothedHinge(_Problem):
     def _slopes(self, mt: np.ndarray, shared, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = 1.0 + mt
         return np.clip(r / self.delta, 0.0, 1.0), ((r > 0.0) & (r <= self.delta)) / self.delta
+
+    def first_step(self, b: np.ndarray, m, d: np.ndarray, gd: float) -> float:
+        """The exact minimizer t* > 0 of the objective F(b + t d).
+
+        An instance's r(t) = r + t e is curved while 0 < r(t) < delta, so
+        F''(t) is the ridge term 2 lam |d_beta|^2 plus w e^2 / (n delta) on
+        each instance's t-interval. F' is integrated from F'(0) = gd across
+        the sorted interval ends to its first root. Past the last end F'
+        is constant; with no ridge term it is the slope of the instances
+        whose r grows, which is >= 0, so F is flat there and t* is that
+        end. Anything but a finite t* > 0 falls back to 1.
+        """
+        zd = self.Z @ d
+        r = 1.0 + np.concatenate(m[:2])
+        e = np.concatenate([self.nu * zd, self.nv * zd])
+        h = np.concatenate([self.aw, self.bw]) * e * e / (self.n * self.delta)
+        on = h > 0.0
+        r, e, h = r[on], e[on], h[on]
+        # where r(t) crosses 0 and delta
+        t0, t1 = -r / e, (self.delta - r) / e
+        lo, hi = np.maximum(np.minimum(t0, t1), 0.0), np.maximum(t0, t1)
+        on = hi > 0.0
+        ends = np.concatenate([lo[on], hi[on]])
+        order = np.argsort(ends)
+        knots = np.concatenate([[0.0], ends[order]])
+        ridge = 2.0 * self.lam * float(d[1:] @ d[1:])
+        # curv[j] is F'' between knots j and j + 1, slope[j] is F' at knot j
+        curv = ridge + np.concatenate([[0.0], np.cumsum(np.concatenate([h[on], -h[on]])[order])])
+        slope = gd + np.concatenate([[0.0], np.cumsum(curv[:-1] * np.diff(knots))])
+        up = np.flatnonzero(slope >= 0.0)
+        if up.size == 0:
+            t = knots[-1] - (slope[-1] / ridge if ridge > 0.0 else 0.0)
+        else:
+            j = up[0] - 1  # F' reaches 0 between knots j and j + 1; j < 0: gd >= 0
+            t = knots[j] - slope[j] / curv[j] if j >= 0 else 0.0
+        return float(t) if np.isfinite(t) and t > 0.0 else 1.0
 
 
 def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
@@ -300,13 +345,13 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
         if grad_norm < tol:
             converged = True
             break
-        for delta in _descent_directions(prob.hessian(w), g):
-            gd = float(g @ delta)
-            t = 1.0
+        for d in _descent_directions(prob.hessian(w), g):
+            gd = float(g @ d)
+            t = prob.first_step(b, m, d, gd)
             # Armijo with an absolute-noise allowance so steps near machine
             # precision are not rejected spuriously
             while t >= 1e-14:
-                bn = b + t * delta
+                bn = b + t * d
                 mn = prob.margins(bn)
                 fn = prob.value(bn, mn)
                 if np.isfinite(fn) and fn <= f + _ARMIJO * t * gd + 1e-14 * (1.0 + abs(f)):
@@ -361,7 +406,9 @@ def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
     gradient drops below config.tol or config.max_iter is reached. The
     hinge loss runs the same iterations on Huber-smoothed hinges of width
     delta = 1, 1e-1, ..., 1e-5, each stage warm-started from the last and
-    allowed config.max_iter iterations; grad_norm and converged describe
+    allowed config.max_iter iterations; each of its line searches starts
+    at the exact minimizer along the Newton direction and backtracks from
+    there under the same Armijo test. grad_norm and converged describe
     the last stage. n_iter counts the Newton steps taken, summed over the
     stages. Since the smoothed loss lies within delta/2 of the hinge, a
     converged last stage certifies that the hinge objective is within

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 import earlkit.earl as earl_mod
+from earlkit.baselines import owl_fit
 from earlkit.core import ConfigError, DataError, Dataset, FeatureMap, LinearRule, NumericalError, stream
 from earlkit.earl import (
     DEFAULT_LAMBDA_GRID,
@@ -17,7 +18,7 @@ from earlkit.earl import (
     select_lambda,
 )
 from earlkit.losses import phi_eval, phi_grad, phi_hess
-from earlkit.nuisance import NuisanceSpec
+from earlkit.nuisance import NuisanceSpec, fit_propensity
 from earlkit.sim import (
     ModelSpec,
     ScenarioSpec,
@@ -401,6 +402,30 @@ def test_n_iter_counts_newton_steps(monkeypatch):
     fit = earl_fit(d, w, EarlConfig(loss="logistic", lam=0.1))
     assert fit.converged
     assert fit.n_iter == len(calls) > 0
+
+
+def test_hinge_line_search_starts_at_the_exact_step(monkeypatch):
+    # each Newton step forms one Hessian; every other objective evaluation
+    # is a line-search trial point (plus a few per stage and per fit)
+    calls = {"margins": 0, "hessian": 0}
+    real_margins, real_hessian = earl_mod._Problem.margins, earl_mod._Problem.hessian
+
+    def margins(self, b):
+        calls["margins"] += 1
+        return real_margins(self, b)
+
+    def hessian(self, w):
+        calls["hessian"] += 1
+        return real_hessian(self, w)
+
+    monkeypatch.setattr(earl_mod._Problem, "margins", margins)
+    monkeypatch.setattr(earl_mod._Problem, "hessian", hessian)
+    spec = _cc_spec()
+    for seed in range(3):
+        d = generate_scenario(ScenarioSpec(2, 500), seed)
+        prop = fit_propensity(d, spec.propensity_map, ridge=spec.ridge, clip=spec.clip)
+        assert owl_fit(d, prop, EarlConfig(loss="hinge", lam=2.0**-5)).diagnostics["converged"]
+    assert calls["margins"] <= 2 * calls["hessian"]
 
 
 def test_select_lambda_rejects_negative_lambda():

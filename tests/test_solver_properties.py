@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import earlkit.earl as earl_mod
@@ -76,3 +76,44 @@ def test_cv_path_solves_report_true_status(seed, n, p, loss, log2_lam, max_iter)
             select_lambda(d, spec, cfg)
         except EarlError:
             pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    p=st.integers(2, 3),
+    delta=st.sampled_from([1.0, 1e-3, 1e-5]),
+    lam=st.sampled_from([0.0, 2.0**-5, 1.0]),
+    flat=st.booleans(),
+)
+def test_hinge_first_step_is_the_exact_line_minimizer(seed, n, p, delta, lam, flat):
+    """first_step's t* minimizes a smoothed-hinge objective along a descent
+    direction; where the objective is flat along it, the hook returns 1."""
+    d, rng = _data(seed, n, p)
+    if flat:
+        # a repeated covariate makes (0, 1, 0, .., -1) a null direction of Z
+        d = Dataset(np.column_stack([d.X[:, :-1], d.X[:, 0]]), d.A, d.Y)
+        lam = 0.0
+    w = rng.normal(size=(2, n)) * 3.0
+    w[rng.random((2, n)) < 0.3] = 0.0
+    prob, _ = _build_problem(d, (w[0], w[1]), EarlConfig(loss="hinge", lam=lam))
+    prob = earl_mod._SmoothedHinge(prob, delta)
+    b = rng.normal(size=p + 1) * 2.0 ** rng.integers(-3, 3)
+    if flat:
+        direction = np.zeros(p + 1)
+        direction[1], direction[-1] = 1.0, -1.0
+    else:
+        direction = rng.normal(size=p + 1) * 2.0 ** rng.integers(-3, 3)
+    m = prob.margins(b)
+    gd = float(prob.slopes(b, m)[0] @ direction)
+    if gd > 0.0:
+        direction, gd = -direction, -gd
+    t = prob.first_step(b, m, direction, gd)
+    if flat:
+        assert t == 1.0
+        return
+    assume(gd < 0.0)
+    ts = np.concatenate([np.linspace(0.0, 2.0 * max(t, 1.0), 401), [t * (1 - 1e-6), t * (1 + 1e-6)]])
+    f = prob.objective(b + t * direction)
+    assert f <= min(prob.objective(b + s * direction) for s in ts) + 1e-12 * (1.0 + abs(f))

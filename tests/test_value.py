@@ -112,16 +112,6 @@ def test_normalized_zero_denominator_errors():
         value_ipwe_normalized(d, _rule_const(1, -1.0), _const_propensity(1, 0.5))
 
 
-class _FixedPropensity:
-    """Stub exposing prob(X, a) from fixed per-arm arrays."""
-
-    def __init__(self, pi_pos):
-        self.pi_pos = np.asarray(pi_pos, dtype=float)
-
-    def prob(self, X, a):
-        return self.pi_pos if a == 1 else 1.0 - self.pi_pos
-
-
 def test_normalized_invariant_to_power_of_two_rescaling():
     rng = np.random.default_rng(7)
     n = 80
