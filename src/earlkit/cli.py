@@ -32,12 +32,11 @@ from .core import (
     ParseError,
     load_csv,
 )
-from .earl import DEFAULT_LAMBDA_GRID, EarlConfig, earl_fit, fit_earl_pipeline
-from .inference import permutation_report
+from .earl import DEFAULT_LAMBDA_GRID, EarlConfig, fit_earl_pipeline
+from .inference import DEFAULT_PERMUTATIONS, permutation_report
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, fit_propensity
-from .sim import run_experiment, write_results_csv
+from .sim import DEFAULT_LAMBDA, run_experiment, write_results_csv
 from .value import value_aipwe, value_ipwe, value_ipwe_normalized
-from .weights import dr_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,7 +132,8 @@ def _load_config_file(path: str, known: set[str]) -> dict:
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values, which override defaults."""
+    """Flags override config-file values, which override defaults; a
+    seed left unset comes from EARL_SEED."""
     cfg = dict(defaults)
     if args.config:
         cfg.update(_load_config_file(args.config, set(defaults)))
@@ -141,17 +141,13 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if "seed" in cfg and cfg["seed"] is None:
+        env = os.environ.get("EARL_SEED", "0")
+        try:
+            cfg["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"EARL_SEED must be an integer, got {env!r}") from None
     return cfg
-
-
-def _default_seed() -> int:
-    env = os.environ.get("EARL_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"EARL_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_lambda(text) -> tuple[bool, float]:
@@ -175,58 +171,60 @@ def _parse_grid(text) -> tuple[float, ...]:
         raise ConfigError(f"could not parse lambda grid {text!r}") from None
 
 
-_FIT_DEFAULTS = {
+# the keys fit and permtest share: files, seed, surrogate, penalty, nuisance maps
+_MODEL_DEFAULTS = {
     "input": None,
     "output": None,
-    "method": "earl",
     "loss": "logistic",
     "lam": 1.0,
-    "lambda_grid": DEFAULT_LAMBDA_GRID,
     "rule_features": "linear",
     "propensity_features": "linear",
     "outcome_features": "linear*a",
     "ridge": 0.0,
     "clip_lo": 0.01,
     "clip_hi": 0.99,
-    "crossfit": 0,
-    "cv_folds": 10,
     "seed": None,
 }
 
+_FIT_DEFAULTS = {
+    **_MODEL_DEFAULTS,
+    "method": "earl",
+    "lambda_grid": DEFAULT_LAMBDA_GRID,
+    "crossfit": 0,
+    "cv_folds": 10,
+}
 
-def _model_maps(cfg: dict, p: int) -> tuple[FeatureMap, NuisanceSpec]:
-    """The rule feature map and the nuisance specification named by the
-    rule/propensity/outcome feature, ridge and clip settings."""
+
+def _model(cfg: dict, p: int, **extra) -> tuple[bool, EarlConfig, NuisanceSpec]:
+    """(use_cv, EarlConfig, NuisanceSpec) named by the model settings;
+    extra holds further EarlConfig fields."""
+    use_cv, lam = _parse_lambda(cfg["lam"])
     rule_fm = FeatureMap.from_name(str(cfg["rule_features"]), p, intercept=False)
-    prop_fm = FeatureMap.from_name(str(cfg["propensity_features"]), p)
+    econf = EarlConfig(
+        loss=str(cfg["loss"]), lam=lam, feature_map=rule_fm, seed=int(cfg["seed"]), **extra
+    )
     out_name = str(cfg["outcome_features"]).strip().lower()
-    out_fm = None if out_name in ("none", "null") else FeatureMap.from_name(out_name, p)
     nspec = NuisanceSpec(
-        propensity_map=prop_fm,
-        outcome_map=out_fm,
+        propensity_map=FeatureMap.from_name(str(cfg["propensity_features"]), p),
+        outcome_map=None if out_name in ("none", "null") else FeatureMap.from_name(out_name, p),
         ridge=float(cfg["ridge"]),
         clip=(float(cfg["clip_lo"]), float(cfg["clip_hi"])),
     )
-    return rule_fm, nspec
+    return use_cv, econf, nspec
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merged(args, _FIT_DEFAULTS)
     if not cfg["input"] or not cfg["output"]:
         raise ConfigError("fit requires --input and --output")
-    seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
     data = load_csv(cfg["input"])
-    use_cv, lam = _parse_lambda(cfg["lam"])
-    rule_fm, nspec = _model_maps(cfg, data.p)
     k = int(cfg["crossfit"])
-    econf = EarlConfig(
-        loss=str(cfg["loss"]),
-        lam=lam,
-        feature_map=rule_fm,
+    use_cv, econf, nspec = _model(
+        cfg,
+        data.p,
         k_folds=max(k, 2),
         cv_folds=int(cfg["cv_folds"]),
         lambda_grid=_parse_grid(cfg["lambda_grid"]),
-        seed=int(seed),
     )
     method = str(cfg["method"]).lower()
     selection = None
@@ -266,7 +264,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "aipwe_insample": value_aipwe(data, rule, prop, out).estimate,
         "n": data.n,
         "p": data.p,
-        "seed": int(seed),
+        "seed": econf.seed,
     }
     if selection is not None:
         artifact["cv_table"] = [dict(row) for row in selection.table]
@@ -323,7 +321,7 @@ _SIM_DEFAULTS = {
     "replicates": 100,
     "validation_draws": 10000,
     "select": "cv",
-    "lam": 2.0**-5,
+    "lam": DEFAULT_LAMBDA,
     "loss": "logistic",
     "threads": 1,
     "timings": False,
@@ -341,18 +339,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged(args, _SIM_DEFAULTS)
     if not cfg["output"]:
         raise ConfigError("simulate requires --output")
-    seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
-    _, lam = _parse_lambda(cfg["lam"])
+    seed = int(cfg["seed"])
+    use_cv, lam = _parse_lambda(cfg["lam"])
+    if use_cv:
+        raise ConfigError("simulate needs a fixed --lambda; choose lambda by CV with --select cv")
     results = run_experiment(
         scenarios=[int(s) for s in _split_csv(cfg["scenarios"])],
         specs=_split_csv(cfg["specs"]),
         methods=_split_csv(cfg["methods"]),
         n_grid=[int(v) for v in _split_csv(cfg["n_grid"])],
         replicates=int(cfg["replicates"]),
-        seed=int(seed),
+        seed=seed,
         validation_draws=int(cfg["validation_draws"]),
         threads=int(cfg["threads"]),
-        earl_config=EarlConfig(loss=str(cfg["loss"]), lam=lam, seed=int(seed)),
+        earl_config=EarlConfig(loss=str(cfg["loss"]), lam=lam, seed=seed),
         select=str(cfg["select"]),
     )
     buf = io.StringIO()
@@ -361,44 +361,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PERMTEST_DEFAULTS = {
-    "input": None,
-    "output": None,
-    "b": 2000,
-    "covariates": "all",
-    "loss": "logistic",
-    "lam": 1.0,
-    "rule_features": "linear",
-    "propensity_features": "linear",
-    "outcome_features": "linear*a",
-    "ridge": 0.0,
-    "clip_lo": 0.01,
-    "clip_hi": 0.99,
-    "seed": None,
-}
+_PERMTEST_DEFAULTS = {**_MODEL_DEFAULTS, "b": DEFAULT_PERMUTATIONS, "covariates": "all"}
 
 
 def cmd_permtest(args: argparse.Namespace) -> int:
     cfg = _merged(args, _PERMTEST_DEFAULTS)
     if not cfg["input"] or not cfg["output"]:
         raise ConfigError("permtest requires --input and --output")
-    seed = cfg["seed"] if cfg["seed"] is not None else _default_seed()
     data = load_csv(cfg["input"])
-    use_cv, lam = _parse_lambda(cfg["lam"])
+    use_cv, econf, nspec = _model(cfg, data.p)
     if use_cv:
         raise ConfigError("permtest needs a fixed --lambda; 'cv' is supported by fit only")
-    rule_fm, nspec = _model_maps(cfg, data.p)
-    econf = EarlConfig(loss=str(cfg["loss"]), lam=lam, feature_map=rule_fm, seed=int(seed))
 
     def pipeline(d):
-        prop, out = nspec.fit(d)
-        return earl_fit(d, dr_weights(d, prop, out), econf).rule
+        return fit_earl_pipeline(d, nspec, econf).fit.rule
 
     if str(cfg["covariates"]).strip().lower() == "all":
         covs = None
     else:
         covs = [int(v) - 1 for v in _split_csv(cfg["covariates"])]  # 1-based on the CLI
-    report = permutation_report(data, pipeline, b=int(cfg["b"]), seed=int(seed), covariates=covs)
+    report = permutation_report(data, pipeline, b=int(cfg["b"]), seed=econf.seed, covariates=covs)
     lines = ["covariate,coefficient,p_value"]
     for e in report.entries:
         lines.append(f"x{e.covariate + 1},{e.coefficient!r},{e.p_value!r}")
@@ -456,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicates", type=int)
     sp.add_argument("--validation-draws", dest="validation_draws", type=int)
     sp.add_argument("--select", choices=["cv", "fixed"])
-    sp.add_argument("--lambda", dest="lam", help="penalty weight for select=fixed")
+    sp.add_argument("--lambda", dest="lam", help="fixed penalty weight of OWL and of --select fixed EARL")
     sp.add_argument("--loss")
     sp.add_argument("--threads", type=int)
     sp.add_argument(

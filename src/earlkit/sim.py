@@ -24,9 +24,8 @@ from scipy.special import expit, logit
 
 from .baselines import SearchConfig, aipwe_direct_search, owl_fit, qlearning_fit
 from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, stream
-from .earl import EarlConfig, earl_fit, select_lambda
+from .earl import EarlConfig, fit_earl_pipeline
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, fit_propensity
-from .weights import dr_weights
 
 __all__ = [
     "ScenarioSpec",
@@ -227,11 +226,7 @@ def _fit_method_rule(
 ) -> LinearRule:
     if method.startswith("earl-"):
         cfg = replace(earl_cfg, loss=method.split("-", 1)[1], seed=fit_seed)
-        if select == "cv":
-            sel = select_lambda(data, nspec, cfg)
-            cfg = replace(cfg, lam=sel.lambda_)
-        prop, out = nspec.fit(data)
-        return earl_fit(data, dr_weights(data, prop, out), cfg).rule
+        return fit_earl_pipeline(data, nspec, cfg, select=select).fit.rule
     if method == "qlearning":
         return qlearning_fit(data, nspec.outcome_map).rule
     if method == "owl":
@@ -282,6 +277,8 @@ def run_experiment(
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
+    if select not in ("cv", "fixed"):
+        raise ConfigError(f"select must be 'cv' or 'fixed', got {select!r}")
     earl_cfg = earl_config if earl_config is not None else EarlConfig(lam=DEFAULT_LAMBDA)
     search_cfg = search_config if search_config is not None else SearchConfig()
     validation = {

@@ -9,7 +9,7 @@ is the evaluator used for observational data with estimated propensities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,18 +42,10 @@ class ValueEstimate:
         }
 
 
-def _pieces(data: Dataset, rule: LinearRule, propensity: PropensityModel):
-    d = rule.decide_many(data.X)
-    match = (data.A == d).astype(float)
-    return d, match, *propensity.probs(data.X)
-
-
 def value_ipwe(data: Dataset, rule: LinearRule, propensity: PropensityModel) -> ValueEstimate:
-    """P_n[ Y I{A = d(X)} / pi(A; X) ] with clipped propensities."""
-    d, match, pi_pos, pi_neg = _pieces(data, rule, propensity)
-    pi_obs = np.where(data.A == 1, pi_pos, pi_neg)
-    est = float(np.mean(data.Y * match / pi_obs))
-    return ValueEstimate(est, "ipwe", int(match.sum()))
+    """P_n[ Y I{A = d(X)} / pi(A; X) ] with clipped propensities: the
+    augmented estimator value_aipwe with a null Q-model."""
+    return replace(value_aipwe(data, rule, propensity, None), estimator_kind="ipwe")
 
 
 def _dr_value(d: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray) -> float:
@@ -72,7 +64,7 @@ def value_aipwe(
 
     W_a's leading term has denominator pi(a; X), which equals pi(A; X)
     when A = a and is nullified by the indicator otherwise, so with
-    outcome None this reduces exactly to value_ipwe.
+    outcome None this is the IPW estimator; value_ipwe returns it.
     """
     d = rule.decide_many(data.X)
     est = _dr_value(d, *dr_weights(data, propensity, outcome))
@@ -87,7 +79,8 @@ def value_ipwe_normalized(
     Invariant to rescaling all propensities by a constant; errors out when
     no subject's treatment matches the rule.
     """
-    d, match, pi_pos, pi_neg = _pieces(data, rule, propensity)
+    match = (data.A == rule.decide_many(data.X)).astype(float)
+    pi_pos, pi_neg = propensity.probs(data.X)
     pi_obs = np.where(data.A == 1, pi_pos, pi_neg)
     den = float(np.mean(match / pi_obs))
     if den == 0.0:

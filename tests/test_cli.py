@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ def test_fit_then_evaluate_reproduces_insample_aipwe(tmp_path, train_csv):
          "--lambda", "0.5", "--seed", "3"]
     )
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     rc = cli.main(["evaluate", "--input", train_csv, "--rule", rule_path, "--output", report_path])
     assert rc == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert abs(report["aipwe"] - artifact["aipwe_insample"]) < 1e-10
     assert set(report) >= {"ipwe", "aipwe", "ipwe_normalized", "n_effective"}
 
@@ -37,7 +38,7 @@ def test_fit_is_byte_deterministic(tmp_path, train_csv):
     args = ["fit", "--input", train_csv, "--loss", "logistic", "--lambda", "1", "--seed", "4"]
     assert cli.main(args + ["--output", p1]) == 0
     assert cli.main(args + ["--output", p2]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_fit_with_cv_records_table(tmp_path, train_csv):
@@ -47,7 +48,7 @@ def test_fit_with_cv_records_table(tmp_path, train_csv):
          "--lambda-grid", "0.25,4.0", "--cv-folds", "4", "--seed", "1"]
     )
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     assert artifact["lambda"] in (0.25, 4.0)
     assert [row["lambda"] for row in artifact["cv_table"]] == [0.25, 4.0]
 
@@ -59,7 +60,7 @@ def test_fit_crossfit_records_folds(tmp_path, train_csv):
          "--crossfit", "2", "--seed", "2"]
     )
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     assert len(artifact["per_fold"]) == 2
     agg = np.mean([f["beta0"] for f in artifact["per_fold"]])
     assert artifact["beta0"] == pytest.approx(agg, abs=1e-15)
@@ -80,12 +81,12 @@ def test_owl_artifact_aipwe_equals_ipwe(tmp_path, train_csv):
          "--loss", "hinge", "--lambda", "0.1", "--seed", "1"]
     )
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     assert artifact["outcome"] is None
     rc = cli.main(["evaluate", "--input", train_csv, "--rule", rule_path,
                    "--output", str(tmp_path / "r.json")])
     assert rc == 0
-    report = json.loads(open(tmp_path / "r.json").read())
+    report = json.loads((tmp_path / "r.json").read_text())
     assert report["aipwe"] == report["ipwe"]
 
 
@@ -119,8 +120,8 @@ def test_simulate_smoke_and_byte_determinism(tmp_path):
             "--validation-draws", "1000", "--select", "fixed"]
     assert cli.main(args + ["--output", out1]) == 0
     assert cli.main(args + ["--output", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    lines = open(out1).read().strip().split("\n")
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    lines = Path(out1).read_text().strip().split("\n")
     assert lines[0] == "method,scenario,spec,n,replicate,value,seconds"
     assert len(lines) == 3
 
@@ -130,7 +131,7 @@ def test_permtest_smoke(tmp_path, train_csv):
     rc = cli.main(["permtest", "--input", train_csv, "--output", out, "--b", "20",
                    "--seed", "3", "--lambda", "1", "--covariates", "1,3"])
     assert rc == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[0] == "covariate,coefficient,p_value"
     assert len(lines) == 3
     assert lines[1].startswith("x1,")
@@ -145,7 +146,7 @@ def test_config_file_and_flag_override(tmp_path, train_csv):
     rule_path = str(tmp_path / "rule.json")
     rc = cli.main(["fit", "--config", str(cfg_path), "--output", rule_path, "--loss", "logistic"])
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     assert artifact["loss"] == "logistic"  # flag wins
     assert artifact["lambda"] == 0.25  # config file value survives
     assert artifact["seed"] == 8
@@ -159,11 +160,20 @@ def test_unknown_config_key_rejected(tmp_path, train_csv):
 
 
 def test_env_seed_is_default(tmp_path, train_csv, monkeypatch):
+    runs = {
+        "fit": ["fit", "--input", train_csv, "--lambda", "1"],
+        # at this B the p-value differs between seeds 0 and 31
+        "permtest": ["permtest", "--input", train_csv, "--b", "20", "--covariates", "2"],
+        "simulate": ["simulate", "--methods", "qlearning", "--n-grid", "120",
+                     "--replicates", "2", "--validation-draws", "500"],
+    }
+    for name, args in runs.items():
+        assert cli.main(args + ["--seed", "31", "--output", str(tmp_path / f"{name}.seed")]) == 0
     monkeypatch.setenv("EARL_SEED", "31")
-    rule_path = str(tmp_path / "rule.json")
-    rc = cli.main(["fit", "--input", train_csv, "--output", rule_path, "--lambda", "1"])
-    assert rc == 0
-    assert json.loads(open(rule_path).read())["seed"] == 31
+    for name, args in runs.items():
+        assert cli.main(args + ["--output", str(tmp_path / f"{name}.env")]) == 0
+        assert (tmp_path / f"{name}.env").read_bytes() == (tmp_path / f"{name}.seed").read_bytes()
+    assert json.loads((tmp_path / "fit.env").read_text())["seed"] == 31
 
 
 def test_qlearning_fit_artifact(tmp_path, train_csv):
@@ -171,7 +181,7 @@ def test_qlearning_fit_artifact(tmp_path, train_csv):
     rc = cli.main(["fit", "--input", train_csv, "--output", rule_path,
                    "--method", "qlearning", "--outcome-features", "quadratic*a"])
     assert rc == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     assert artifact["method"] == "qlearning"
     assert artifact["loss"] is None
 
@@ -179,7 +189,7 @@ def test_qlearning_fit_artifact(tmp_path, train_csv):
 def test_artifact_round_trips_through_schema(tmp_path, train_csv):
     rule_path = str(tmp_path / "rule.json")
     assert cli.main(["fit", "--input", train_csv, "--output", rule_path, "--lambda", "1"]) == 0
-    artifact = json.loads(open(rule_path).read())
+    artifact = json.loads(Path(rule_path).read_text())
     rule = cli._rule_from_json(artifact["rule"])
     prop = cli._propensity_from_json(artifact["propensity"])
     out = cli._outcome_from_json(artifact["outcome"])
@@ -215,3 +225,31 @@ def test_permtest_rejects_cv_lambda(tmp_path, train_csv, capsys):
                    "--b", "5", "--lambda", "cv"])
     assert rc == cli.EXIT_CONFIG
     assert "--lambda" in capsys.readouterr().err
+
+
+def test_simulate_rejects_cv_lambda(tmp_path, capsys):
+    rc = cli.main(["simulate", "--output", str(tmp_path / "s.csv"), "--methods", "owl",
+                   "--n-grid", "120", "--replicates", "1", "--select", "fixed", "--lambda", "cv"])
+    assert rc == cli.EXIT_CONFIG
+    assert "--select cv" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_simulate_config_rejects_unknown_select(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"select": "CV", "methods": "qlearning", "n_grid": "120",
+                                    "replicates": 1, "validation_draws": 100}))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "s.csv")])
+    assert rc == cli.EXIT_CONFIG
+    assert "select" in capsys.readouterr().err
+
+
+def test_permtest_reports_the_fit_coefficients(tmp_path, train_csv):
+    rule_path = str(tmp_path / "rule.json")
+    perm_path = str(tmp_path / "perm.csv")
+    model = ["--input", train_csv, "--lambda", "1", "--seed", "2"]
+    assert cli.main(["fit", "--output", rule_path, *model]) == 0
+    assert cli.main(["permtest", "--output", perm_path, "--b", "3", "--covariates", "1,3", *model]) == 0
+    beta = json.loads(Path(rule_path).read_text())["beta"]
+    rows = [line.split(",") for line in Path(perm_path).read_text().splitlines()[1:]]
+    assert [(name, coef) for name, coef, _ in rows] == [("x1", repr(beta[0])), ("x3", repr(beta[2]))]

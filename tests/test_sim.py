@@ -165,6 +165,11 @@ def test_run_experiment_rejects_unknown_method():
         run_experiment([2], ["CC"], ["mystery"], [100], 1)
 
 
+def test_run_experiment_rejects_unknown_select():
+    with pytest.raises(ConfigError, match="select"):
+        run_experiment([2], ["CC"], ["qlearning"], [100], 1, select="CV")
+
+
 def test_results_csv_schema(tmp_path):
     res = run_experiment(
         scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100],
