@@ -1,11 +1,11 @@
 """Command-line interface: fit rules from CSV, evaluate them, run the
 simulation grid, and run permutation inference.
 
-Configuration may come from a JSON file (--config) whose keys mirror the
-flag names with underscores; flags win over file values and unknown keys
-are rejected. Exit codes: 0 success, 2 config error, 3 data error,
-4 numerical failure. The EARL_SEED environment variable supplies a
-default seed.
+Configuration may come from a JSON file (--config) whose keys are the
+command's flag names with underscores; its values are type-checked like
+flags, flags win over them, and unknown keys are rejected. Exit codes:
+0 success, 2 config error, 3 data error, 4 numerical failure. The
+EARL_SEED environment variable supplies the default seed.
 """
 
 from __future__ import annotations
@@ -131,23 +131,15 @@ def _load_config_file(path: str, known: set[str]) -> dict:
     return obj
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values, which override defaults; a
-    seed left unset comes from EARL_SEED."""
-    cfg = dict(defaults)
-    if args.config:
-        cfg.update(_load_config_file(args.config, set(defaults)))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if "seed" in cfg and cfg["seed"] is None:
-        env = os.environ.get("EARL_SEED", "0")
-        try:
-            cfg["seed"] = int(env)
-        except ValueError:
-            raise ConfigError(f"EARL_SEED must be an integer, got {env!r}") from None
-    return cfg
+def _seed(args: argparse.Namespace) -> int:
+    """The --seed value, or EARL_SEED (else 0) when it is unset."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("EARL_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"EARL_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_lambda(text) -> tuple[bool, float]:
@@ -171,62 +163,34 @@ def _parse_grid(text) -> tuple[float, ...]:
         raise ConfigError(f"could not parse lambda grid {text!r}") from None
 
 
-# the keys fit and permtest share: files, seed, surrogate, penalty, nuisance maps
-_MODEL_DEFAULTS = {
-    "input": None,
-    "output": None,
-    "loss": "logistic",
-    "lam": 1.0,
-    "rule_features": "linear",
-    "propensity_features": "linear",
-    "outcome_features": "linear*a",
-    "ridge": 0.0,
-    "clip_lo": 0.01,
-    "clip_hi": 0.99,
-    "seed": None,
-}
-
-_FIT_DEFAULTS = {
-    **_MODEL_DEFAULTS,
-    "method": "earl",
-    "lambda_grid": DEFAULT_LAMBDA_GRID,
-    "crossfit": 0,
-    "cv_folds": 10,
-}
-
-
-def _model(cfg: dict, p: int, **extra) -> tuple[bool, EarlConfig, NuisanceSpec]:
-    """(use_cv, EarlConfig, NuisanceSpec) named by the model settings;
-    extra holds further EarlConfig fields."""
-    use_cv, lam = _parse_lambda(cfg["lam"])
-    rule_fm = FeatureMap.from_name(str(cfg["rule_features"]), p, intercept=False)
-    econf = EarlConfig(
-        loss=str(cfg["loss"]), lam=lam, feature_map=rule_fm, seed=int(cfg["seed"]), **extra
-    )
-    out_name = str(cfg["outcome_features"]).strip().lower()
+def _model(args: argparse.Namespace, p: int, **extra) -> tuple[bool, EarlConfig, NuisanceSpec]:
+    """(use_cv, EarlConfig, NuisanceSpec) named by the model flags; extra
+    holds further EarlConfig fields."""
+    use_cv, lam = _parse_lambda(args.lam)
+    rule_fm = FeatureMap.from_name(str(args.rule_features), p, intercept=False)
+    econf = EarlConfig(loss=str(args.loss), lam=lam, feature_map=rule_fm, seed=_seed(args), **extra)
+    out_name = str(args.outcome_features).strip().lower()
     nspec = NuisanceSpec(
-        propensity_map=FeatureMap.from_name(str(cfg["propensity_features"]), p),
+        propensity_map=FeatureMap.from_name(str(args.propensity_features), p),
         outcome_map=None if out_name in ("none", "null") else FeatureMap.from_name(out_name, p),
-        ridge=float(cfg["ridge"]),
-        clip=(float(cfg["clip_lo"]), float(cfg["clip_hi"])),
+        ridge=args.ridge,
+        clip=(args.clip_lo, args.clip_hi),
     )
     return use_cv, econf, nspec
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _merged(args, _FIT_DEFAULTS)
-    if not cfg["input"] or not cfg["output"]:
+    if not args.input or not args.output:
         raise ConfigError("fit requires --input and --output")
-    data = load_csv(cfg["input"])
-    k = int(cfg["crossfit"])
+    data = load_csv(args.input)
+    k = args.crossfit
     use_cv, econf, nspec = _model(
-        cfg,
-        data.p,
-        k_folds=max(k, 2),
-        cv_folds=int(cfg["cv_folds"]),
-        lambda_grid=_parse_grid(cfg["lambda_grid"]),
+        args, data.p, k_folds=max(k, 2), cv_folds=args.cv_folds,
+        lambda_grid=_parse_grid(args.lambda_grid),
     )
-    method = str(cfg["method"]).lower()
+    method = str(args.method).lower()
+    if use_cv and method != "earl":
+        raise ConfigError("--lambda cv is supported by --method earl only")
     selection = None
     per_fold = None
     if method == "earl":
@@ -270,23 +234,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         artifact["cv_table"] = [dict(row) for row in selection.table]
     if per_fold is not None:
         artifact["per_fold"] = per_fold
-    _atomic_write(cfg["output"], _dump_json(artifact))
+    _atomic_write(args.output, _dump_json(artifact))
     return EXIT_OK
 
 
-_EVAL_DEFAULTS = {"input": None, "rule": None, "output": None}
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _merged(args, _EVAL_DEFAULTS)
-    if not cfg["input"] or not cfg["rule"]:
+    if not args.input or not args.rule:
         raise ConfigError("evaluate requires --input and --rule")
-    data = load_csv(cfg["input"])
+    data = load_csv(args.input)
     try:
-        with open(cfg["rule"], encoding="utf-8") as fh:
+        with open(args.rule, encoding="utf-8") as fh:
             artifact = json.load(fh)
     except FileNotFoundError:
-        raise DataError(f"rule artifact not found: {cfg['rule']}") from None
+        raise DataError(f"rule artifact not found: {args.rule}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"rule artifact is not valid JSON: {exc}") from None
     rule = _rule_from_json(artifact["rule"])
@@ -305,28 +265,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report["ipwe_normalized"] = None
         report["ipwe_normalized_error"] = str(exc)
     text = _dump_json(report)
-    if cfg["output"]:
-        _atomic_write(cfg["output"], text)
+    if args.output:
+        _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-_SIM_DEFAULTS = {
-    "output": None,
-    "scenarios": "2",
-    "specs": "CC",
-    "methods": "earl-logistic",
-    "n_grid": "200,500,1000,2500",
-    "replicates": 100,
-    "validation_draws": 10000,
-    "select": "cv",
-    "lam": DEFAULT_LAMBDA,
-    "loss": "logistic",
-    "threads": 1,
-    "timings": False,
-    "seed": None,
-}
 
 
 def _split_csv(text) -> list[str]:
@@ -336,128 +279,137 @@ def _split_csv(text) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged(args, _SIM_DEFAULTS)
-    if not cfg["output"]:
+    if not args.output:
         raise ConfigError("simulate requires --output")
-    seed = int(cfg["seed"])
-    use_cv, lam = _parse_lambda(cfg["lam"])
+    seed = _seed(args)
+    use_cv, lam = _parse_lambda(args.lam)
     if use_cv:
         raise ConfigError("simulate needs a fixed --lambda; choose lambda by CV with --select cv")
     results = run_experiment(
-        scenarios=[int(s) for s in _split_csv(cfg["scenarios"])],
-        specs=_split_csv(cfg["specs"]),
-        methods=_split_csv(cfg["methods"]),
-        n_grid=[int(v) for v in _split_csv(cfg["n_grid"])],
-        replicates=int(cfg["replicates"]),
+        scenarios=[int(s) for s in _split_csv(args.scenarios)],
+        specs=_split_csv(args.specs),
+        methods=_split_csv(args.methods),
+        n_grid=[int(v) for v in _split_csv(args.n_grid)],
+        replicates=args.replicates,
         seed=seed,
-        validation_draws=int(cfg["validation_draws"]),
-        threads=int(cfg["threads"]),
-        earl_config=EarlConfig(loss=str(cfg["loss"]), lam=lam, seed=seed),
-        select=str(cfg["select"]),
+        validation_draws=args.validation_draws,
+        threads=args.threads,
+        earl_config=EarlConfig(lam=lam, seed=seed),
+        select=str(args.select),
     )
     buf = io.StringIO()
-    write_results_csv(results, buf, timings=bool(cfg["timings"]))
-    _atomic_write(cfg["output"], buf.getvalue())
+    write_results_csv(results, buf, timings=bool(args.timings))
+    _atomic_write(args.output, buf.getvalue())
     return EXIT_OK
 
 
-_PERMTEST_DEFAULTS = {**_MODEL_DEFAULTS, "b": DEFAULT_PERMUTATIONS, "covariates": "all"}
-
-
 def cmd_permtest(args: argparse.Namespace) -> int:
-    cfg = _merged(args, _PERMTEST_DEFAULTS)
-    if not cfg["input"] or not cfg["output"]:
+    if not args.input or not args.output:
         raise ConfigError("permtest requires --input and --output")
-    data = load_csv(cfg["input"])
-    use_cv, econf, nspec = _model(cfg, data.p)
+    data = load_csv(args.input)
+    use_cv, econf, nspec = _model(args, data.p)
     if use_cv:
         raise ConfigError("permtest needs a fixed --lambda; 'cv' is supported by fit only")
 
     def pipeline(d):
         return fit_earl_pipeline(d, nspec, econf).fit.rule
 
-    if str(cfg["covariates"]).strip().lower() == "all":
+    if str(args.covariates).strip().lower() == "all":
         covs = None
     else:
-        covs = [int(v) - 1 for v in _split_csv(cfg["covariates"])]  # 1-based on the CLI
-    report = permutation_report(data, pipeline, b=int(cfg["b"]), seed=econf.seed, covariates=covs)
+        covs = [int(v) - 1 for v in _split_csv(args.covariates)]  # 1-based on the CLI
+    report = permutation_report(data, pipeline, b=args.b, seed=econf.seed, covariates=covs)
     lines = ["covariate,coefficient,p_value"]
     for e in report.entries:
         lines.append(f"x{e.covariate + 1},{e.coefficient!r},{e.p_value!r}")
-    _atomic_write(cfg["output"], "\n".join(lines) + "\n")
+    _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all four commands; every setting's default lives on its flag."""
     parser = argparse.ArgumentParser(
         prog="earlkit",
         description="Doubly robust individualized treatment rules via convex surrogate relaxation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, func, help):
+        sp = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--seed", type=int, help="RNG seed (default: EARL_SEED or 0)")
+        sp.set_defaults(func=func)
+        return sp
+
+    def seed(sp):
+        sp.add_argument("--seed", type=int, help="RNG seed; unset means EARL_SEED, else 0")
 
     def model(sp):
-        # the surrogate, penalty and nuisance flags fit and permtest share
-        sp.add_argument("--loss", help="hinge | exp | logistic | sqhinge")
-        sp.add_argument("--lambda", dest="lam", help="penalty weight; fit also takes 'cv'")
-        sp.add_argument("--rule-features", dest="rule_features", help="feature map of the rule")
-        sp.add_argument("--propensity-features", dest="propensity_features", help="feature map of the propensity model")
-        sp.add_argument("--outcome-features", dest="outcome_features", help="feature map name or 'none'")
-        sp.add_argument("--ridge", type=float, help="ridge weight of the propensity fit")
-        sp.add_argument("--clip-lo", dest="clip_lo", type=float, help="lower propensity clip")
-        sp.add_argument("--clip-hi", dest="clip_hi", type=float, help="upper propensity clip")
+        # the files, seed, surrogate, penalty and nuisance flags fit and permtest share
+        sp.add_argument("--input", help="training CSV (header y,a,x1,...,xp)")
+        sp.add_argument("--output", help="file to write: the rule artifact JSON or the p-value CSV")
+        seed(sp)
+        sp.add_argument("--loss", default="logistic", help="hinge | exp | logistic | sqhinge")
+        sp.add_argument("--lambda", dest="lam", default=1.0, help="penalty weight; fit also takes 'cv'")
+        sp.add_argument(
+            "--rule-features", dest="rule_features", default="linear", help="feature map of the rule"
+        )
+        sp.add_argument(
+            "--propensity-features", dest="propensity_features", default="linear",
+            help="feature map of the propensity model",
+        )
+        sp.add_argument(
+            "--outcome-features", dest="outcome_features", default="linear*a",
+            help="feature map name or 'none'",
+        )
+        sp.add_argument("--ridge", type=float, default=0.0, help="ridge weight of the propensity fit")
+        sp.add_argument("--clip-lo", dest="clip_lo", type=float, default=0.01, help="lower propensity clip")
+        sp.add_argument("--clip-hi", dest="clip_hi", type=float, default=0.99, help="upper propensity clip")
 
-    sp = sub.add_parser("fit", help="fit a treatment rule from a CSV file")
-    common(sp)
-    sp.add_argument("--input", help="training CSV (header y,a,x1,...,xp)")
-    sp.add_argument("--output", help="rule artifact JSON to write")
-    sp.add_argument("--method", choices=["earl", "owl", "qlearning"])
+    sp = command("fit", cmd_fit, "fit a treatment rule from a CSV file")
+    sp.add_argument("--method", choices=["earl", "owl", "qlearning"], default="earl", help="rule estimator")
     model(sp)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated grid for cv")
-    sp.add_argument("--crossfit", type=int, help="number of sample-splitting folds K (0 = off)")
-    sp.add_argument("--cv-folds", dest="cv_folds", type=int)
-    sp.set_defaults(func=cmd_fit)
+    sp.add_argument(
+        "--lambda-grid", dest="lambda_grid", default=DEFAULT_LAMBDA_GRID, help="comma-separated grid for cv"
+    )
+    sp.add_argument("--crossfit", type=int, default=0, help="number of sample-splitting folds K (0 = off)")
+    sp.add_argument("--cv-folds", dest="cv_folds", type=int, default=10, help="folds of --lambda cv")
 
-    sp = sub.add_parser("evaluate", help="evaluate a fitted rule on a CSV file")
-    common(sp)
-    sp.add_argument("--input")
+    sp = command("evaluate", cmd_evaluate, "evaluate a fitted rule on a CSV file")
+    sp.add_argument("--input", help="CSV to evaluate the rule on")
     sp.add_argument("--rule", help="rule artifact JSON from fit")
-    sp.add_argument("--output", help="report JSON (default: stdout)")
-    sp.set_defaults(func=cmd_evaluate)
+    sp.add_argument("--output", help="report JSON; unset writes it to stdout")
 
-    sp = sub.add_parser("simulate", help="run the benchmark grid")
-    common(sp)
+    sp = command("simulate", cmd_simulate, "run the benchmark grid")
     sp.add_argument("--output", help="results CSV to write")
-    sp.add_argument("--scenarios", help="comma-separated scenario ids, e.g. 1,2")
-    sp.add_argument("--specs", help="comma-separated codes among CC,CI,IC,II")
-    sp.add_argument("--methods", help="comma-separated method names")
-    sp.add_argument("--n-grid", dest="n_grid", help="comma-separated training sizes")
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--validation-draws", dest="validation_draws", type=int)
-    sp.add_argument("--select", choices=["cv", "fixed"])
-    sp.add_argument("--lambda", dest="lam", help="fixed penalty weight of OWL and of --select fixed EARL")
-    sp.add_argument("--loss")
-    sp.add_argument("--threads", type=int)
+    seed(sp)
+    sp.add_argument("--scenarios", default="2", help="comma-separated scenario ids, e.g. 1,2")
+    sp.add_argument("--specs", default="CC", help="comma-separated codes among CC,CI,IC,II")
+    sp.add_argument("--methods", default="earl-logistic", help="comma-separated method names")
+    sp.add_argument(
+        "--n-grid", dest="n_grid", default="200,500,1000,2500", help="comma-separated training sizes"
+    )
+    sp.add_argument("--replicates", type=int, default=100, help="replicates per grid cell")
+    sp.add_argument(
+        "--validation-draws", dest="validation_draws", type=int, default=10000,
+        help="Monte Carlo draws that score each fitted rule",
+    )
+    sp.add_argument("--select", choices=["cv", "fixed"], default="cv", help="how EARL records choose lambda")
+    sp.add_argument(
+        "--lambda", dest="lam", default=DEFAULT_LAMBDA,
+        help="fixed penalty weight of OWL and of --select fixed EARL",
+    )
+    sp.add_argument("--threads", type=int, default=1, help="worker threads over replicates")
     sp.add_argument(
         "--timings",
-        action="store_const",
-        const=True,
-        help="record wall times in the seconds column (off by default so "
-        "identical seeds give identical bytes)",
+        action="store_true",
+        help="record wall times in the seconds column; left off, identical seeds "
+        "give identical bytes",
     )
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("permtest", help="permutation test for rule coefficients")
-    common(sp)
-    sp.add_argument("--input")
-    sp.add_argument("--output")
-    sp.add_argument("--b", type=int, help="number of permutations (default 2000)")
-    sp.add_argument("--covariates", help="'all' or comma-separated 1-based indices")
+    sp = command("permtest", cmd_permtest, "permutation test for rule coefficients")
+    sp.add_argument("--b", type=int, default=DEFAULT_PERMUTATIONS, help="number of permutations")
+    sp.add_argument("--covariates", default="all", help="'all' or comma-separated 1-based indices")
     model(sp)
-    sp.set_defaults(func=cmd_permtest)
     return parser
 
 
@@ -465,6 +417,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # file values become the command's defaults, so flags still win and
+            # every value passes through its flag's type
+            sp = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+            typed = {a.dest: a.type for a in sp._actions if a.dest not in ("help", "config")}
+            values = _load_config_file(args.config, set(typed))
+            sp.set_defaults(**{
+                k: v if v is None or typed[k] is None else str(v) for k, v in values.items()
+            })
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -429,8 +429,9 @@ def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
     )
 
 
-def _partition(n: int, k: int, seed: int) -> list[np.ndarray]:
-    perm = stream(seed, 7011).permutation(n)
+def _partition(n: int, k: int, *keys) -> list[np.ndarray]:
+    """k sorted folds of range(n) from a permutation drawn by stream(*keys)."""
+    perm = stream(*keys).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, k)]
 
 
@@ -474,7 +475,7 @@ def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig
     if data.n < 2 * k:
         raise DataError(f"need n >= 2K rows for cross-fitting, got n={data.n}, K={k}")
     if folds is None:
-        folds = _partition(data.n, k, config.seed)
+        folds = _partition(data.n, k, config.seed, 7011)
     folds = _merge_single_arm_folds(data, list(folds))
     parts = []
     all_idx = np.arange(data.n)
@@ -576,8 +577,7 @@ def select_lambda(
         raise DataError(f"need n >= cv_folds, got n={data.n}, cv_folds={config.cv_folds}")
     if grid[0] < 0:
         raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
-    perm = stream(config.seed, 4242).permutation(data.n)
-    folds = [np.sort(f) for f in np.array_split(perm, config.cv_folds)]
+    folds = _partition(data.n, config.cv_folds, config.seed, 4242)
     all_idx = np.arange(data.n)
     vals = np.full((len(grid), len(folds)), np.nan)
     for j, hold in enumerate(folds):

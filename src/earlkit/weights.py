@@ -43,8 +43,8 @@ class ClassificationInstance:
     subject: int = 0
 
 
-def _one_arm(y: float, a: int, arm: int, pi_arm: float, q_arm: float) -> float:
-    ind = 1.0 if a == arm else 0.0
+def _one_arm(y, ind, pi_arm, q_arm):
+    """W_a from the indicator I(A=a); works on scalars and on arrays."""
     return y * ind / pi_arm - (ind - pi_arm) / pi_arm * q_arm
 
 
@@ -62,8 +62,8 @@ def compute_weights(y: float, a: int, pi_hat, q_hat=(0.0, 0.0)) -> WeightPair:
             raise DomainError(f"propensity {v} outside (0, 1)")
     q_pos, q_neg = float(q_hat[0]), float(q_hat[1])
     return WeightPair(
-        w_pos=_one_arm(float(y), a, 1, pi_pos, q_pos),
-        w_neg=_one_arm(float(y), a, -1, pi_neg, q_neg),
+        w_pos=_one_arm(float(y), float(a == 1), pi_pos, q_pos),
+        w_neg=_one_arm(float(y), float(a == -1), pi_neg, q_neg),
     )
 
 
@@ -96,10 +96,7 @@ def dr_weights(
         q_pos = outcome.predict_arm(data.X, 1)
         q_neg = outcome.predict_arm(data.X, -1)
     ind_pos = (data.A == 1).astype(float)
-    ind_neg = 1.0 - ind_pos
-    w_pos = data.Y * ind_pos / pi_pos - (ind_pos - pi_pos) / pi_pos * q_pos
-    w_neg = data.Y * ind_neg / pi_neg - (ind_neg - pi_neg) / pi_neg * q_neg
-    return w_pos, w_neg
+    return _one_arm(data.Y, ind_pos, pi_pos, q_pos), _one_arm(data.Y, 1.0 - ind_pos, pi_neg, q_neg)
 
 
 def weight_pairs(

@@ -9,6 +9,14 @@ from earlkit.core import Dataset, save_csv
 from earlkit.sim import ScenarioSpec, generate_scenario
 
 
+def _exit_code(argv) -> int:
+    """main's return code, or the status of the SystemExit argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture()
 def train_csv(tmp_path):
     d = generate_scenario(ScenarioSpec(2, 150, p=4), 5)
@@ -153,10 +161,50 @@ def test_config_file_and_flag_override(tmp_path, train_csv):
 
 
 def test_unknown_config_key_rejected(tmp_path, train_csv):
+    # "func", "command" and "help" are parser internals, not settings: a file
+    # must not be able to replace the dispatch function through them
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"input": train_csv, "mystery": 1}))
-    rc = cli.main(["fit", "--config", str(cfg_path), "--output", str(tmp_path / "o.json")])
-    assert rc == 2
+    for key in ("mystery", "func", "command", "help"):
+        cfg_path.write_text(json.dumps({"input": train_csv, key: 1}))
+        rc = cli.main(["fit", "--config", str(cfg_path), "--output", str(tmp_path / "o.json")])
+        assert rc == 2, key
+        assert not (tmp_path / "o.json").exists()
+
+
+def test_config_value_is_type_checked_like_its_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for bad in ("abc", 2.5):  # --replicates 2.5 is an error too
+        cfg_path.write_text(json.dumps({"replicates": bad}))
+        rc = _exit_code(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "s.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "--replicates" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_commands_reject_flags_they_do_not_read(tmp_path, train_csv):
+    rule_path = str(tmp_path / "rule.json")
+    assert cli.main(["fit", "--input", train_csv, "--output", rule_path, "--lambda", "1"]) == 0
+    assert _exit_code(["evaluate", "--input", train_csv, "--rule", rule_path, "--seed", "5"]) == 2
+    sim = ["simulate", "--output", str(tmp_path / "s.csv"), "--methods", "qlearning", "--n-grid", "120",
+           "--replicates", "1", "--validation-draws", "100", "--select", "fixed"]
+    assert _exit_code(sim + ["--loss", "exp"]) == 2
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_fit_cv_lambda_needs_earl(tmp_path, train_csv, capsys):
+    out = tmp_path / "rule.json"
+    for method in ("owl", "qlearning"):
+        rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--method", method,
+                       "--loss", "hinge", "--lambda", "cv"])
+        assert rc == cli.EXIT_CONFIG
+        assert "--method earl" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    for name in ("fit", "evaluate", "simulate", "permtest"):
+        assert _exit_code([name, "--help"]) == 0
+        assert f"usage: earlkit {name}" in capsys.readouterr().out
 
 
 def test_env_seed_is_default(tmp_path, train_csv, monkeypatch):
@@ -199,8 +247,8 @@ def test_artifact_round_trips_through_schema(tmp_path, train_csv):
 
 
 _MODEL_FLAGS = (
-    "--loss", "--lambda", "--rule-features", "--propensity-features",
-    "--outcome-features", "--ridge", "--clip-lo", "--clip-hi",
+    "--input", "--output", "--seed", "--loss", "--lambda", "--rule-features",
+    "--propensity-features", "--outcome-features", "--ridge", "--clip-lo", "--clip-hi",
 )
 
 
@@ -209,7 +257,7 @@ def test_fit_and_permtest_share_model_flags():
 
     def flags(name):
         return {
-            opt: (a.dest, a.type, a.help)
+            opt: (a.dest, a.type, a.default, a.help)
             for a in subparsers[name]._actions
             for opt in a.option_strings
             if opt in _MODEL_FLAGS
@@ -217,7 +265,7 @@ def test_fit_and_permtest_share_model_flags():
 
     assert set(flags("fit")) == set(_MODEL_FLAGS)
     assert flags("fit") == flags("permtest")
-    assert all(h for _, _, h in flags("fit").values())
+    assert all(h for _, _, _, h in flags("fit").values())
 
 
 def test_permtest_rejects_cv_lambda(tmp_path, train_csv, capsys):

@@ -251,7 +251,8 @@ def test_crossfit_single_arm_fold_merges_when_k3():
     A = np.concatenate([np.ones(20), np.where(rng.random(40) < 0.5, 1, -1)]).astype(int)
     d = Dataset(X, A, rng.normal(size=60))
     folds = [np.arange(20), np.arange(20, 40), np.arange(40, 60)]
-    with pytest.warns(UserWarning, match="merging"):
+    # the unmerged 20-row fold is fitted with the 24-column CC outcome map
+    with pytest.warns(UserWarning, match="merging"), pytest.warns(UserWarning, match="rank deficient"):
         fit = earl_fit_crossfit(d, _cc_spec(), EarlConfig(k_folds=3, lam=0.1), folds=folds)
     assert len(fit.per_fold_rules) == 2
 

@@ -1,6 +1,7 @@
 """Property tests of the value estimator and the cross-fit estimator."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,9 @@ def test_value_differences_ignore_a_treatment_free_shift(seed, n, p, shift):
     assert abs(gaps[0] - gaps[1]) <= 1e-9 * scale
 
 
+# a fold of 7 rows can hold too few subjects of one arm for the linear*a
+# outcome map; both orders then fit the same ridge fallback
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
 @settings(max_examples=25, deadline=None)
 @given(
     **_cases,
