@@ -188,7 +188,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         args, data.p, k_folds=max(k, 2), cv_folds=args.cv_folds,
         lambda_grid=_parse_grid(args.lambda_grid),
     )
-    method = str(args.method).lower()
+    method = args.method
     if use_cv and method != "earl":
         raise ConfigError("--lambda cv is supported by --method earl only")
     selection = None
@@ -207,15 +207,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         out = None
         bl = owl_fit(data, prop, econf)
         rule, lam_used, loss_used = bl.rule, econf.lam, econf.loss
-    elif method == "qlearning":
+    else:  # qlearning
         if nspec.outcome_map is None:
             raise ConfigError("qlearning requires outcome features")
         prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
         out = None  # the artifact's Q-model is null: the rule already encodes the contrast
         bl = qlearning_fit(data, nspec.outcome_map)
         rule, lam_used, loss_used = bl.rule, 0.0, None
-    else:
-        raise ConfigError(f"unknown fit method {method!r}; expected earl, owl, or qlearning")
     artifact = {
         "method": method,
         "loss": loss_used,
@@ -295,7 +293,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         validation_draws=args.validation_draws,
         threads=args.threads,
         earl_config=EarlConfig(lam=lam, seed=seed),
-        select=str(args.select),
+        select=args.select,
     )
     buf = io.StringIO()
     write_results_csv(results, buf, timings=bool(args.timings))
@@ -421,12 +419,18 @@ def main(argv=None) -> int:
             # file values become the command's defaults, so flags still win and
             # every value passes through its flag's type
             sp = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-            typed = {a.dest: a.type for a in sp._actions if a.dest not in ("help", "config")}
-            values = _load_config_file(args.config, set(typed))
+            actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+            values = _load_config_file(args.config, set(actions))
             sp.set_defaults(**{
-                k: v if v is None or typed[k] is None else str(v) for k, v in values.items()
+                k: v if v is None or actions[k].type is None else str(v) for k, v in values.items()
             })
             args = parser.parse_args(argv)
+            # argparse checks choices on flags only, not on defaults
+            for k in values:
+                v, a = getattr(args, k), actions[k]
+                if a.choices is not None and v not in a.choices:
+                    sp.error(f"argument {a.option_strings[0]}: invalid choice: {v!r} in {args.config}"
+                             f" (choose from {', '.join(map(repr, a.choices))})")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -436,9 +436,13 @@ def load_csv(path) -> Dataset:
     with a warning. Any non-numeric or non-finite cell is a parse error
     naming the row and column. The body is parsed by numpy's C reader;
     where that fails, or finds a non-finite cell, it is re-read cell by
-    cell to report the error.
+    cell to report the error. A file that cannot be opened is a data error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -6,13 +6,13 @@ The estimator minimizes
 
 over linear rules f(x) = beta0 + beta' features(x); the intercept is not
 penalized. Every loss is solved by damped Newton iterations with
-backtracking; the hinge loss by a continuation over Huber-smoothed hinges
-of shrinking width, each stage warm-started from the last (Chapelle 2007,
-Neural Computation 19:1155; Nesterov 2005, Math. Programming 103:127).
-A smoothed-hinge objective is piecewise quadratic along a line, so each
-of its line searches starts at the exact 1-D minimizer rather than at the
-full Newton step; that first trial point still has to pass the Armijo
-test, and the search halves it after a failure.
+backtracking; the hinge loss by the same iterations on a Huber-smoothed
+hinge of width 1e-5 (Chapelle 2007, Neural Computation 19:1155; Nesterov
+2005, Math. Programming 103:127). A smoothed-hinge objective is piecewise
+quadratic along a line, so each of its line searches starts at the exact
+1-D minimizer rather than at the full Newton step; that first trial point
+still has to pass the Armijo test, and the search halves it after a
+failure.
 Cross-fitting partitions the sample into K folds, fits the nuisance models
 on fold I_k, runs the weighted minimization on the complement, and
 averages the K coefficient vectors.
@@ -21,11 +21,9 @@ Lambda is chosen by cross-validated held-out value. Each CV split builds
 its training problem once and solves it down the sorted grid, from the
 largest lambda to the smallest, each solve warm-started from the previous
 lambda's coefficients and restarted from beta = 0 after a failed cell
-(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)); a
-warm-started hinge solve skips the widest smoothings, beginning at
-delta = 1e-3. Every path solve stops on the same config.tol gradient test
-as a cold fit, so only a held-out score within that tolerance of 0 can
-flip a decision.
+(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
+solve stops on the same config.tol gradient test as a cold fit, so only a
+held-out score within that tolerance of 0 can flip a decision.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = tuple(2.0 ** k for k in range(-5, 6))
 
 _ARMIJO = 1e-4
-# smoothing widths of the hinge continuation, widest first
-_HINGE_DELTAS = tuple(10.0 ** -k for k in range(6))
+# width of the Huber smoothing under which the hinge is solved
+_HINGE_DELTA = 1e-5
 
 
 @dataclass(frozen=True)
@@ -223,9 +221,7 @@ class _SmoothedHinge(_Problem):
 
     In r = 1 - t the loss is 0 for r <= 0, r^2 / (2 delta) for
     0 < r <= delta and r - delta/2 beyond, so it lies at most delta/2
-    below the hinge. A margin with r = delta counts as curved: at beta = 0
-    every r is 1, the first stage's delta, and the first stage would
-    otherwise see no curvature at all.
+    below the hinge. A margin with r = delta counts as curved.
     """
 
     def __init__(self, prob: _Problem, delta: float):
@@ -378,25 +374,18 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     return best_b, best_f, steps, grad_norm, grad_norm < tol
 
 
-def _solve_hinge(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
+def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
+    """Minimize prob at its lam from b (None: beta = 0) with config's tolerance."""
+    if prob.loss.smooth:
+        return _solve_smooth(prob, config.tol, config.max_iter, b)
+    b, _, n_iter, grad_norm, converged = _solve_smooth(
+        _SmoothedHinge(prob, _HINGE_DELTA), config.tol, config.max_iter, b
+    )
     zero = np.zeros(prob.q)
-    # a warm start (a neighbouring lambda's solution) skips the widest stages
-    deltas = _HINGE_DELTAS if b is None else _HINGE_DELTAS[3:]
-    b = zero if b is None else b
-    n_iter = 0
-    for delta in deltas:
-        b, _, it, grad_norm, converged = _solve_smooth(_SmoothedHinge(prob, delta), tol, max_iter, b)
-        n_iter += it
     f, f0 = prob.objective(b), prob.objective(zero)
     if f0 < f:
         b, f = zero, f0
     return b, f, n_iter, grad_norm, converged
-
-
-def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
-    """Minimize prob at its lam from b (None: beta = 0) with config's tolerance."""
-    solve = _solve_smooth if prob.loss.smooth else _solve_hinge
-    return solve(prob, config.tol, config.max_iter, b)
 
 
 def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
@@ -404,15 +393,14 @@ def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
 
     Smooth losses run damped Newton iterations until the sup-norm of the
     gradient drops below config.tol or config.max_iter is reached. The
-    hinge loss runs the same iterations on Huber-smoothed hinges of width
-    delta = 1, 1e-1, ..., 1e-5, each stage warm-started from the last and
-    allowed config.max_iter iterations; each of its line searches starts
-    at the exact minimizer along the Newton direction and backtracks from
-    there under the same Armijo test. grad_norm and converged describe
-    the last stage. n_iter counts the Newton steps taken, summed over the
-    stages. Since the smoothed loss lies within delta/2 of the hinge, a
-    converged last stage certifies that the hinge objective is within
-    1e-5/2 * mean(|W_1| + |W_-1|) of its minimum, up to that stage's
+    hinge loss runs one such solve, with the same tol and max_iter, on the
+    Huber-smoothed hinge of width delta = 1e-5; each of its line searches
+    starts at the exact minimizer along the Newton direction and
+    backtracks from there under the same Armijo test, and grad_norm and
+    converged describe the smoothed objective. n_iter counts the Newton
+    steps taken. Since the smoothed loss lies within delta/2 of the hinge,
+    a converged solve certifies that the hinge objective is within
+    1e-5/2 * mean(|W_1| + |W_-1|) of its minimum, up to the smoothed
     gradient residual. The returned objective never exceeds the objective
     at beta = 0.
     """
@@ -558,9 +546,7 @@ def select_lambda(
     held fold's weights and design are built once and shared by every
     lambda. The grid is walked from the largest lambda to the smallest,
     each solve warm-started from the previous lambda's coefficients; after
-    a failed cell the next lambda starts again from beta = 0. A
-    warm-started hinge solve begins its smoothing continuation at
-    delta = 1e-3 instead of 1. Every solve
+    a failed cell the next lambda starts again from beta = 0. Every solve
     stops on the same config.tol gradient test as a cold earl_fit (or
     earl_fit_crossfit), so its decisions on the held fold can differ from
     the cold fit's only where a held-out score lies within that tolerance

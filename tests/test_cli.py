@@ -82,6 +82,16 @@ def test_missing_treatment_column_names_it(tmp_path, capsys):
     assert "'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit", "--output"], ["evaluate", "--rule"], ["permtest", "--output"]])
+def test_missing_input_file_is_a_data_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.csv")
+    rc = cli.main([*command, str(tmp_path / "out"), "--input", missing])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {missing}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_owl_artifact_aipwe_equals_ipwe(tmp_path, train_csv):
     rule_path = str(tmp_path / "owl.json")
     rc = cli.main(
@@ -287,9 +297,19 @@ def test_simulate_config_rejects_unknown_select(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"select": "CV", "methods": "qlearning", "n_grid": "120",
                                     "replicates": 1, "validation_draws": 100}))
-    rc = cli.main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "s.csv")])
+    rc = _exit_code(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "s.csv")])
     assert rc == cli.EXIT_CONFIG
-    assert "select" in capsys.readouterr().err
+    assert "--select" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_fit_config_value_obeys_its_flag_choices(tmp_path, train_csv, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"input": train_csv, "method": "OWL"}))
+    rc = _exit_code(["fit", "--config", str(cfg_path), "--output", str(tmp_path / "o.json")])
+    assert rc == cli.EXIT_CONFIG
+    assert "--method" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_permtest_reports_the_fit_coefficients(tmp_path, train_csv):

@@ -156,6 +156,12 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_missing_file_is_data_error(tmp_path):
+    path = tmp_path / "nope.csv"
+    with pytest.raises(DataError, match="nope.csv"):
+        load_csv(path)
+
+
 def test_load_csv_bad_treatment_code(tmp_path):
     path = _write(tmp_path, "y,a,x1\n1.0,2,0.1\n")
     with pytest.raises(ParseError, match="column 'a'"):

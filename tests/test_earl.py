@@ -400,14 +400,16 @@ def test_n_iter_counts_newton_steps(monkeypatch):
     monkeypatch.setattr(earl_mod._Problem, "hessian", counted)
     d = generate_scenario(ScenarioSpec(2, 300), 41)
     w = dr_weights(d, *_cc_spec().fit(d))
-    fit = earl_fit(d, w, EarlConfig(loss="logistic", lam=0.1))
-    assert fit.converged
-    assert fit.n_iter == len(calls) > 0
+    for loss in ("logistic", "hinge"):
+        calls.clear()
+        fit = earl_fit(d, w, EarlConfig(loss=loss, lam=0.1))
+        assert fit.converged
+        assert fit.n_iter == len(calls) > 0
 
 
 def test_hinge_line_search_starts_at_the_exact_step(monkeypatch):
     # each Newton step forms one Hessian; every other objective evaluation
-    # is a line-search trial point (plus a few per stage and per fit)
+    # is a line-search trial point (plus a few per fit)
     calls = {"margins": 0, "hessian": 0}
     real_margins, real_hessian = earl_mod._Problem.margins, earl_mod._Problem.hessian
 
@@ -548,15 +550,15 @@ def test_warm_hinge_solve_starts_at_narrow_smoothing(monkeypatch):
     stages = []
 
     def recorded(prob, tol, max_iter, b=None):
-        stages.append(prob.delta)
+        stages.append((prob.delta, b is None))
         return real_smooth(prob, tol, max_iter, b)
 
     monkeypatch.setattr(earl_mod, "_solve_smooth", recorded)
     d = generate_scenario(ScenarioSpec(2, 200), 3)
     cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, seed=2)
     sel = select_lambda(d, _cc_spec(), cfg)
-    cold, warm = list(earl_mod._HINGE_DELTAS), list(earl_mod._HINGE_DELTAS[3:])
-    # each of the 4 splits: a cold solve at lambda = 4, then two warm ones
-    assert stages == (cold + warm + warm) * 4
+    cold, warm = (earl_mod._HINGE_DELTA, True), (earl_mod._HINGE_DELTA, False)
+    # each of the 4 splits: one cold solve at lambda = 4, then two warm ones
+    assert stages == [cold, warm, warm] * 4
     monkeypatch.undo()
     assert sel.table == _cold_table(d, _cc_spec(), cfg)

@@ -22,12 +22,12 @@ def _data(seed, n, p):
 
 def _check_status(prob, tol, solution):
     """grad_norm is the sup-norm of a fresh gradient at the returned b (for
-    the hinge, of its narrowest smoothing), and converged means it passed."""
+    the hinge, of its smoothing), and converged means it passed."""
     b, _, _, grad_norm, converged = solution
     if not prob.loss.smooth:
         if not np.any(b):
             return  # the beta = 0 guard replaced the smoothed solution
-        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTAS[-1])
+        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTA)
     assert grad_norm == float(np.max(np.abs(prob.gradient(b))))
     assert not converged or grad_norm < tol
 
@@ -56,6 +56,9 @@ def test_cold_solve_reports_true_status(seed, n, p, loss, log2_lam, max_iter):
     _check_status(prob, cfg.tol, solution)
 
 
+# a held fold of 13 to 40 rows can hold too few subjects of one arm for the
+# linear*a outcome map, whose fit then falls back to a ridge
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
 @settings(max_examples=20, deadline=None)
 @given(**_cases)
 def test_cv_path_solves_report_true_status(seed, n, p, loss, log2_lam, max_iter):
