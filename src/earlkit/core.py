@@ -436,34 +436,37 @@ def load_csv(path) -> Dataset:
     with a warning. Any non-numeric or non-finite cell is a parse error
     naming the row and column. The body is parsed by numpy's C reader;
     where that fails, or finds a non-finite cell, it is re-read cell by
-    cell to report the error. A file that cannot be opened is a data error.
+    cell to report the error. A file that cannot be opened is a data error;
+    one that is not UTF-8 text is a parse error.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        lowered = [h.lower() for h in header]
-        for required in ("y", "a"):
-            if required not in lowered:
-                raise ParseError(f"{path}: missing column '{required}'")
-        p = len(header) - 2
-        if p < 1:
-            raise ParseError(f"{path}: header must be y,a,x1,...,xp with p >= 1")
-        expected = _csv_header(p)
-        if lowered != expected:
-            missing = [c for c in expected if c not in lowered]
-            if missing:
-                raise ParseError(f"{path}: missing column '{missing[0]}'")
-            raise ParseError(
-                f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
-            )
-        body = fh.read()
+            row = next(csv.reader(fh), None)
+            body = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    if row is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in row]
+    lowered = [h.lower() for h in header]
+    for required in ("y", "a"):
+        if required not in lowered:
+            raise ParseError(f"{path}: missing column '{required}'")
+    p = len(header) - 2
+    if p < 1:
+        raise ParseError(f"{path}: header must be y,a,x1,...,xp with p >= 1")
+    expected = _csv_header(p)
+    if lowered != expected:
+        missing = [c for c in expected if c not in lowered]
+        if missing:
+            raise ParseError(f"{path}: missing column '{missing[0]}'")
+        raise ParseError(
+            f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+        )
     arr = None
     if body.strip():
         try:

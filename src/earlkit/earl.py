@@ -17,11 +17,15 @@ Cross-fitting partitions the sample into K folds, fits the nuisance models
 on fold I_k, runs the weighted minimization on the complement, and
 averages the K coefficient vectors.
 
-Lambda is chosen by cross-validated held-out value. Each CV split builds
-its training problem once and solves it down the sorted grid, from the
-largest lambda to the smallest, each solve warm-started from the previous
-lambda's coefficients and restarted from beta = 0 after a failed cell
-(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
+Lambda is chosen by cross-validated held-out value, the cross-fitted AIPW
+score: each CV split fits the nuisance models once on its training folds,
+and the held fold is scored with the doubly robust weights under those
+models (Chernozhukov et al. 2018, Econometrics J. 21:C1). The rule design
+is built once for all rows. Each CV split builds its training problem
+once, on its rows of that design, and solves it down the sorted grid,
+from the largest lambda to the smallest, each solve warm-started from the
+previous lambda's coefficients and restarted from beta = 0 after a failed
+cell (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
 solve stops on the same config.tol gradient test as a cold fit, so only a
 held-out score within that tolerance of 0 can flip a decision.
 """
@@ -278,12 +282,21 @@ def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return np.column_stack([np.ones(Phi.shape[0]), Phi])
 
 
-def _build_problem(data: Dataset, weights, config: EarlConfig) -> tuple[_Problem, FeatureMap]:
-    fm = config.rule_map(data.p)
+def _rule_map(config: EarlConfig, p: int) -> FeatureMap:
+    fm = config.rule_map(p)
     if fm.uses_treatment or fm.has_intercept:
         raise ConfigError("the rule feature map must be over x only, without an intercept")
+    return fm
+
+
+def _build_problem(data: Dataset, weights, config: EarlConfig, Z=None) -> tuple[_Problem, FeatureMap]:
+    """The weighted problem on data at config.lam; Z, if given, is the rule
+    design of data's rows (rows of a larger design, since a design row
+    depends only on its data row)."""
+    fm = _rule_map(config, data.p)
     w_pos, w_neg = _as_weight_arrays(weights, data.n)
-    Z = _rule_design(data.X, fm)
+    if Z is None:
+        Z = _rule_design(data.X, fm)
     return _Problem(Z, w_pos, w_neg, get_loss(config.loss), config.lam), fm
 
 
@@ -451,13 +464,15 @@ def _mean_rule(rules: list[LinearRule]) -> LinearRule:
     return LinearRule(beta0, beta, rules[0].feature_map)
 
 
-def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig, folds=None):
+def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig, folds=None, Z=None):
     """Build the weighted problem of every cross-fitting fold.
 
     Partitions the sample (or takes the given folds), merges single-arm
     folds, fits the nuisance models on each fold I_k and builds the
-    problem from the complement's DR weights at config.lam. Returns a list
-    of (I_k, complement, propensity, outcome, problem) and the rule map.
+    problem from the complement's DR weights at config.lam, on the
+    complement's rows of the rule design Z (None: built from data).
+    Returns a list of (I_k, complement, propensity, outcome, problem) and
+    the rule map.
     """
     k = config.k_folds if folds is None else len(folds)
     if data.n < 2 * k:
@@ -465,13 +480,16 @@ def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig
     if folds is None:
         folds = _partition(data.n, k, config.seed, 7011)
     folds = _merge_single_arm_folds(data, list(folds))
+    if Z is None:
+        Z = _rule_design(data.X, _rule_map(config, data.p))
     parts = []
-    all_idx = np.arange(data.n)
     for fold_idx in folds:
-        erm_idx = np.setdiff1d(all_idx, fold_idx)
+        keep = np.ones(data.n, dtype=bool)
+        keep[fold_idx] = False
+        erm_idx = np.flatnonzero(keep)
         prop, out = nuisance.fit(data.subset(fold_idx))
         erm_data = data.subset(erm_idx)
-        prob, fm = _build_problem(erm_data, dr_weights(erm_data, prop, out), config)
+        prob, fm = _build_problem(erm_data, dr_weights(erm_data, prop, out), config, Z[keep])
         parts.append((fold_idx, erm_idx, prop, out, prob))
     return parts, fm
 
@@ -529,6 +547,10 @@ class LambdaSelection:
     table: tuple[dict, ...]
 
 
+def _reason(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def select_lambda(
     data: Dataset,
     nuisance: NuisanceSpec,
@@ -537,61 +559,74 @@ def select_lambda(
 ) -> LambdaSelection:
     """Choose lambda by cross-validated held-out value.
 
-    For each of config.cv_folds splits, the estimator is fit on the
-    training folds at every lambda in the grid and each resulting rule is
-    scored on the held-out fold with the doubly robust value estimator,
-    using nuisance models refit on the held-out fold. Each split's
-    training problem (its weights, their checks and the rule design; with
-    crossfit=True the K per-fold problems, nuisance fits included) and the
-    held fold's weights and design are built once and shared by every
-    lambda. The grid is walked from the largest lambda to the smallest,
-    each solve warm-started from the previous lambda's coefficients; after
-    a failed cell the next lambda starts again from beta = 0. Every solve
-    stops on the same config.tol gradient test as a cold earl_fit (or
-    earl_fit_crossfit), so its decisions on the held fold can differ from
-    the cold fit's only where a held-out score lies within that tolerance
-    of 0. With crossfit=True a single-arm fold merge warns once per split,
-    not once per lambda.
+    For each of config.cv_folds splits, the nuisance models are fit once
+    on the training folds. The estimator is fit there at every lambda in
+    the grid, and each rule is scored on the held-out fold by the doubly
+    robust value over the held rows' weights under those models, the
+    cross-fitted AIPW score. With crossfit=True the training problems are
+    the training split's K per-fold problems, and the held fold is still
+    scored with the one nuisance fit on the whole training split. The rule
+    design is built once for all rows; each split's training problem (its
+    weights, their checks and its rows of the design) and the held fold's
+    weights are built once and shared by every lambda. The grid is walked
+    from the largest lambda to the smallest, each solve warm-started from
+    the previous lambda's coefficients; after a failed cell the next
+    lambda starts again from beta = 0. Every solve stops on the same
+    config.tol gradient test as a cold earl_fit (or earl_fit_crossfit), so
+    its decisions on the held fold can differ from the cold fit's only
+    where a held-out score lies within that tolerance of 0. With
+    crossfit=True a single-arm fold merge warns once per split, not once
+    per lambda.
 
-    Ties break toward the larger lambda. A split whose nuisance or rule
-    fit fails with an EarlError or LinAlgError contributes NaN (None in
-    the table) and is ignored; any other error propagates. If every value
-    is non-finite the selection fails.
+    Ties break toward the larger lambda. A cell whose nuisance or rule fit
+    fails with an EarlError or LinAlgError, or whose rule has non-finite
+    coefficients, contributes NaN (None in the table's fold_values, and
+    "<ExceptionClass>: <message>" in its fold_errors) and is ignored; a
+    failed nuisance fit fails its whole split. Any other error propagates.
+    If every value is non-finite the selection fails.
     """
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
         raise DataError(f"need n >= cv_folds, got n={data.n}, cv_folds={config.cv_folds}")
     if grid[0] < 0:
         raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
+    Z = _rule_design(data.X, _rule_map(config, data.p))
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)
-    all_idx = np.arange(data.n)
     vals = np.full((len(grid), len(folds)), np.nan)
+    errors = [[None] * len(folds) for _ in grid]
     for j, hold in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, hold)
-        train = data.subset(train_idx)
-        held = data.subset(hold)
+        keep = np.ones(data.n, dtype=bool)
+        keep[hold] = False
+        train = data.subset(keep)
         try:
-            w_h = dr_weights(held, *nuisance.fit(held))
+            models = nuisance.fit(train)
+            w_h = dr_weights(data.subset(hold), *models)
             if crossfit:
-                parts, fm = _crossfit_problems(train, nuisance, config)
+                parts, _ = _crossfit_problems(train, nuisance, config, Z=Z[keep])
                 probs = [prob for *_, prob in parts]
             else:
-                prob, fm = _build_problem(train, dr_weights(train, *nuisance.fit(train)), config)
-                probs = [prob]
-        except (EarlError, np.linalg.LinAlgError):
+                probs = [_build_problem(train, dr_weights(train, *models), config, Z[keep])[0]]
+        except (EarlError, np.linalg.LinAlgError) as exc:
+            for row in errors:
+                row[j] = _reason(exc)
             continue
-        Phi_h = fm.design(held.X)
+        # the held rows' rule features, scored with LinearRule.scores' arithmetic
+        # so that a cell equals value_aipwe of the same rule exactly
+        Phi_h = Z[hold, 1:]
         starts = [None] * len(probs)
         for i in reversed(range(len(grid))):
             try:
                 for k, prob in enumerate(probs):
                     prob.lam = float(grid[i])
                     starts[k] = _solve(prob, config, starts[k])[0]
-                rule = _mean_rule([LinearRule(b[0], b[1:], fm) for b in starts])
-            except (EarlError, np.linalg.LinAlgError):
+                b = starts[0] if len(starts) == 1 else np.mean(starts, axis=0)
+                if not np.all(np.isfinite(b)):
+                    raise DataError("rule coefficients must be finite")
+            except (EarlError, np.linalg.LinAlgError) as exc:
+                errors[i][j] = _reason(exc)
                 starts = [None] * len(probs)
                 continue
-            vals[i, j] = _dr_value(sgn(rule.beta0 + Phi_h @ rule.beta), *w_h)
+            vals[i, j] = _dr_value(sgn(b[0] + Phi_h @ b[1:]), *w_h)
     # the NaN-ignoring mean, without np.nanmean's warning on an all-NaN row
     missing = np.isnan(vals)
     counts = np.sum(~missing, axis=1)
@@ -607,8 +642,9 @@ def select_lambda(
             "lambda": float(lam),
             "mean_value": (float(m) if np.isfinite(m) else None),
             "fold_values": [float(v) if np.isfinite(v) else None for v in row],
+            "fold_errors": errs,
         }
-        for lam, m, row in zip(grid, means, vals)
+        for lam, m, row, errs in zip(grid, means, vals, errors)
     )
     return LambdaSelection(lambda_=best_lam, table=table)
 

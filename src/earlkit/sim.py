@@ -14,6 +14,7 @@ correct/incorrect propensity and outcome models (CC, CI, IC, II).
 
 from __future__ import annotations
 
+import csv
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -341,14 +342,18 @@ def run_experiment(
 
 
 def write_results_csv(results, fh, timings: bool = True) -> None:
-    """Emit the experiment table as method,scenario,spec,n,replicate,value,seconds.
+    """Emit the experiment table as method,scenario,spec,n,replicate,value,seconds,error.
 
     With timings off the seconds column is written as zero so that
-    repeated runs with the same seed produce identical bytes.
+    repeated runs with the same seed produce identical bytes. The error
+    column is empty for a record that fitted, and otherwise holds its
+    error message, quoted by the csv module where it has commas, quotes
+    or newlines.
     """
-    fh.write("method,scenario,spec,n,replicate,value,seconds\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["method", "scenario", "spec", "n", "replicate", "value", "seconds", "error"])
     for r in results:
         secs = r.seconds if timings else 0.0
-        fh.write(
-            f"{r.method},{r.scenario},{r.spec},{r.n},{r.replicate},{r.value!r},{secs:.6f}\n"
+        writer.writerow(
+            [r.method, r.scenario, r.spec, r.n, r.replicate, repr(r.value), f"{secs:.6f}", r.error or ""]
         )

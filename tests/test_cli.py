@@ -92,6 +92,17 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["fit", "--output"], ["evaluate", "--rule"], ["permtest", "--output"]])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfey,a,x1\n1.0,1,0.5\n")
+    rc = cli.main([*command, str(tmp_path / "out"), "--input", str(bad)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
 def test_owl_artifact_aipwe_equals_ipwe(tmp_path, train_csv):
     rule_path = str(tmp_path / "owl.json")
     rc = cli.main(
@@ -140,7 +151,7 @@ def test_simulate_smoke_and_byte_determinism(tmp_path):
     assert cli.main(args + ["--output", out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     lines = Path(out1).read_text().strip().split("\n")
-    assert lines[0] == "method,scenario,spec,n,replicate,value,seconds"
+    assert lines[0] == "method,scenario,spec,n,replicate,value,seconds,error"
     assert len(lines) == 3
 
 

@@ -162,6 +162,13 @@ def test_load_csv_missing_file_is_data_error(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfey,a,x1\n1.0,1,0.5\n")
+    with pytest.raises(ParseError, match="bad.csv: not UTF-8 text"):
+        load_csv(path)
+
+
 def test_load_csv_bad_treatment_code(tmp_path):
     path = _write(tmp_path, "y,a,x1\n1.0,2,0.1\n")
     with pytest.raises(ParseError, match="column 'a'"):

@@ -327,12 +327,15 @@ def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
     rows = {row["lambda"]: row for row in sel.table}
     assert rows[1.0]["mean_value"] is None
     assert rows[1.0]["fold_values"] == [None] * 4
+    assert rows[1.0]["fold_errors"] == ["NumericalError: solver blew up"] * 4
     assert all(v is not None for v in rows[0.5]["fold_values"])
+    assert rows[0.5]["fold_errors"] == [None] * 4
     assert sel.lambda_ == 0.5
 
 
 def _cold_table(d, spec, cfg, crossfit=False):
-    """select_lambda's table rebuilt from public fits, each started at beta = 0."""
+    """select_lambda's table rebuilt from public fits, each started at beta = 0
+    and scored on the held fold with the training split's nuisance models."""
     perm = stream(cfg.seed, 4242).permutation(d.n)
     folds = [np.sort(f) for f in np.array_split(perm, cfg.cv_folds)]
     table = []
@@ -346,8 +349,15 @@ def _cold_table(d, spec, cfg, crossfit=False):
                 fit = earl_fit_crossfit(train, spec, c)
             else:
                 fit = earl_fit(train, dr_weights(train, *spec.fit(train)), c)
-            row.append(value_aipwe(held, fit.rule, *spec.fit(held)).estimate)
-        table.append({"lambda": lam, "mean_value": float(np.sum(row) / len(row)), "fold_values": row})
+            row.append(value_aipwe(held, fit.rule, *spec.fit(train)).estimate)
+        table.append(
+            {
+                "lambda": lam,
+                "mean_value": float(np.sum(row) / len(row)),
+                "fold_values": row,
+                "fold_errors": [None] * len(row),
+            }
+        )
     return tuple(table)
 
 
@@ -385,8 +395,50 @@ def test_select_lambda_restarts_from_zero_after_failed_cell(monkeypatch):
     rows = {row["lambda"]: row for row in sel.table}
     cold = {row["lambda"]: row for row in _cold_table(d, _cc_spec(), cfg)}
     assert rows[1.0]["fold_values"] == [None] * 4
+    assert rows[1.0]["fold_errors"] == ["NumericalError: solver blew up"] * 4
     assert rows[0.25] == cold[0.25]
     assert rows[4.0] == cold[4.0]
+
+
+@pytest.mark.parametrize("crossfit", [False, True])
+def test_select_lambda_fits_nuisances_once_per_split(monkeypatch, crossfit):
+    calls = []
+    real_fit = NuisanceSpec.fit
+
+    def counted(self, data):
+        calls.append(data.n)
+        return real_fit(self, data)
+
+    monkeypatch.setattr(NuisanceSpec, "fit", counted)
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    cfg = EarlConfig(lambda_grid=(0.25, 1.0), cv_folds=4, k_folds=3, seed=1)
+    select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+    # plain: one fit on each training split; cross-fit adds the K folds'
+    assert len(calls) == cfg.cv_folds * ((cfg.k_folds + 1) if crossfit else 1)
+    assert calls.count(150) == cfg.cv_folds
+
+
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
+@pytest.mark.parametrize("code", ["CC", "II"])
+def test_select_lambda_scores_every_cell_with_few_treated(code):
+    # scenario 3 treats about 2.5% of subjects, so held folds of 50 rows
+    # often hold one arm; scoring them needs no nuisance fit of their own
+    for seed in range(5):
+        d = generate_scenario(ScenarioSpec(3, 500), seed)
+        sel = select_lambda(d, ModelSpec(code).nuisance_spec(3), EarlConfig(seed=seed))
+        for row in sel.table:
+            assert None not in row["fold_values"]
+            assert row["fold_errors"] == [None] * 10
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_rule_design_rows_match_the_subset_design(quadratic):
+    d, rng = _data(97, 4, seed=5)
+    fm = FeatureMap.quadratic(4, intercept=False) if quadratic else FeatureMap.linear(4, intercept=False)
+    mask = rng.random(d.n) < 0.7
+    full = earl_mod._rule_design(d.X, fm)[mask]
+    sub = earl_mod._rule_design(d.subset(np.flatnonzero(mask)).X, fm)
+    assert full.shape == sub.shape and full.tobytes() == sub.tobytes()
 
 
 def test_n_iter_counts_newton_steps(monkeypatch):

@@ -5,6 +5,7 @@ from earlkit.core import ConfigError
 from earlkit.earl import EarlConfig
 from earlkit.nuisance import predict_propensity
 from earlkit.sim import (
+    ExperimentResult,
     ModelSpec,
     ScenarioSpec,
     contrast,
@@ -180,10 +181,28 @@ def test_results_csv_schema(tmp_path):
     buf = io.StringIO()
     write_results_csv(res, buf, timings=False)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "method,scenario,spec,n,replicate,value,seconds"
+    assert lines[0] == "method,scenario,spec,n,replicate,value,seconds,error"
     fields = lines[1].split(",")
     assert fields[0] == "qlearning" and fields[1] == "2" and fields[2] == "CC"
-    assert fields[6] == "0.000000"
+    assert fields[6] == "0.000000" and fields[7] == ""
+
+
+def test_results_csv_keeps_the_error():
+    import csv
+    import io
+
+    err = 'fold 3, "arm" -1:\nsingle arm'
+    res = [
+        ExperimentResult("owl", 3, "II", 500, 0, float("nan"), 0.5, err),
+        ExperimentResult("owl", 3, "II", 500, 1, 10.25, 0.5),
+    ]
+    bufs = [io.StringIO(), io.StringIO()]
+    for buf in bufs:
+        write_results_csv(res, buf, timings=False)
+    assert bufs[0].getvalue() == bufs[1].getvalue()
+    rows = list(csv.reader(io.StringIO(bufs[0].getvalue(), newline="")))
+    assert rows[1] == ["owl", "3", "II", "500", "0", "nan", "0.000000", err]
+    assert rows[2] == ["owl", "3", "II", "500", "1", "10.25", "0.000000", ""]
 
 
 def test_contrast_definition():
