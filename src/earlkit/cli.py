@@ -113,14 +113,22 @@ def _rule_from_json(obj: dict) -> LinearRule:
     )
 
 
-def _load_config_file(path: str, known: set[str]) -> dict:
+def _read_json(path: str, error: type[EarlError], what: str):
+    """The JSON value stored in path; a file that cannot be opened, is not
+    UTF-8 or is not JSON raises error, naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"{what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _load_config_file(path: str, known: set[str]) -> dict:
+    obj = _read_json(path, ConfigError, "config file")
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "lambda" in obj:  # JSON key "lambda" maps to the lam flag
@@ -240,16 +248,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.input or not args.rule:
         raise ConfigError("evaluate requires --input and --rule")
     data = load_csv(args.input)
+    artifact = _read_json(args.rule, DataError, "rule artifact")
+    if not isinstance(artifact, dict):
+        raise DataError(f"rule artifact {args.rule} must hold a JSON object")
     try:
-        with open(args.rule, encoding="utf-8") as fh:
-            artifact = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"rule artifact not found: {args.rule}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"rule artifact is not valid JSON: {exc}") from None
-    rule = _rule_from_json(artifact["rule"])
-    prop = _propensity_from_json(artifact["propensity"])
-    out = _outcome_from_json(artifact.get("outcome"))
+        rule = _rule_from_json(artifact["rule"])
+        prop = _propensity_from_json(artifact["propensity"])
+        out = _outcome_from_json(artifact.get("outcome"))
+    except KeyError as exc:
+        raise DataError(f"rule artifact {args.rule} has no key {exc}") from None
+    except (TypeError, ValueError, EarlError) as exc:
+        raise DataError(f"rule artifact {args.rule} is malformed: {exc}") from None
     ipwe = value_ipwe(data, rule, prop)
     aipwe = value_aipwe(data, rule, prop, out)
     report = {

@@ -45,9 +45,9 @@ def permutation_test(
 ) -> PermutationEntry:
     """Permutation p-value for one covariate; deterministic given the seed.
 
-    Refits that raise are tolerated up to 5% of the permutations (they are
-    dropped from both the count and the denominator); beyond that the test
-    errors out.
+    Refits that raise an EarlError or numpy's LinAlgError are tolerated up
+    to 5% of the permutations (they are dropped from both the count and the
+    denominator); beyond that the test errors out.
     """
     if b < 1:
         raise ConfigError(f"permutation count must be at least 1, got {b}")
@@ -65,7 +65,7 @@ def permutation_test(
         Xp[:, covariate] = data.X[perm, covariate]
         try:
             stat = abs(pipeline(Dataset(Xp, data.A, data.Y)).coefficient(covariate))
-        except EarlError:
+        except (EarlError, np.linalg.LinAlgError):
             failures += 1
             continue
         successes += 1

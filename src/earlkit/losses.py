@@ -22,10 +22,10 @@ both instances' terms from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import ConfigError, DomainError
 
@@ -154,13 +154,18 @@ def phi_hess(loss, t):
     return _scalar_or_array(_slopes_at(loss.kind, t)[1])
 
 
+def _xlogx(x: float) -> float:
+    """x log x, continued by 0 at x = 0."""
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
 def _psi_scalar(kind: str, theta: float) -> float:
     if kind == "hinge":
         return abs(theta)
     if kind == "exp":
         return 1.0 - np.sqrt(max(1.0 - theta * theta, 0.0))
     if kind == "logistic":
-        return 0.5 * (xlogy(1.0 + theta, 1.0 + theta) + xlogy(1.0 - theta, 1.0 - theta))
+        return 0.5 * (_xlogx(1.0 + theta) + _xlogx(1.0 - theta))
     return theta * theta
 
 

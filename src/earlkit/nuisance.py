@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     ConvergenceError,
@@ -38,6 +37,18 @@ MAX_IRLS_ITER = 100
 # |gamma| beyond this on the logit scale means fitted probabilities are
 # saturated to machine precision; with no ridge that signals separation.
 SEPARATION_COEF = 30.0
+
+
+def _expit(x) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)) of an array; 0.5 at 0. exp's
+    argument is held in [-700, 700], where it neither overflows nor
+    underflows, so no input raises a floating-point warning."""
+    z = np.maximum(x, -700.0)
+    np.minimum(z, 700.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def _check_clip(clip) -> tuple[float, float]:
@@ -79,7 +90,7 @@ class PropensityModel:
 
     def raw_prob(self, X, a: int) -> np.ndarray:
         """Unclipped pi(a; x); the two arms sum to one exactly."""
-        p1 = expit(self.linear_predictor(X))
+        p1 = _expit(self.linear_predictor(X))
         return p1 if a == 1 else 1.0 - p1
 
     def probs(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +149,12 @@ def fit_propensity(
     )
     gamma = np.zeros(q)
     eta = Z @ gamma
+    mu = _expit(eta)  # refreshed at every accepted step; the separation check reads it too
     ll = _penalized_loglik(eta, y, gamma, ridge, pen_mask)
     path = [ll]
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_IRLS_ITER + 1):
-        mu = expit(eta)
         score = Z.T @ (y - mu) - ridge * (gamma * pen_mask)
         if np.max(np.abs(score)) < SCORE_TOL:
             converged = True
@@ -170,13 +181,14 @@ def fit_propensity(
         else:
             break  # no ascent direction left at machine precision
         gamma, eta, ll = cand, cand_eta, cand_ll
+        mu = _expit(eta)
         if ll < path[-1] - 1e-9 * (1.0 + abs(path[-1])):
             raise NumericalError("IRLS objective decreased; numerical breakdown")
         path.append(ll)
     if ridge == 0.0:
         # separation: every fitted probability saturates on its own label,
         # or the coefficients diverged on the logit scale
-        resid = np.max(np.abs(y - expit(eta)))
+        resid = np.max(np.abs(y - mu))
         if resid < 1e-6 or np.max(np.abs(gamma)) > SEPARATION_COEF:
             raise ConvergenceError(
                 "perfect separation suspected (fitted probabilities saturated); "

@@ -15,18 +15,18 @@ correct/incorrect propensity and outcome models (CC, CI, IC, II).
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .baselines import SearchConfig, aipwe_direct_search, owl_fit, qlearning_fit
 from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, stream
 from .earl import EarlConfig, fit_earl_pipeline
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, fit_propensity
+from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _expit, fit_propensity
 
 __all__ = [
     "ScenarioSpec",
@@ -71,9 +71,9 @@ def contrast(X: np.ndarray) -> np.ndarray:
 def propensity_true(scenario: int, X: np.ndarray) -> np.ndarray:
     """P(A = 1 | X) under each scenario."""
     if scenario == 1:
-        return expit(X[:, 0] + X[:, 1] + X[:, 0] * X[:, 1])
+        return _expit(X[:, 0] + X[:, 1] + X[:, 0] * X[:, 1])
     if scenario == 2:
-        return expit(0.5 * X[:, 0] - 0.5)
+        return _expit(0.5 * X[:, 0] - 0.5)
     return np.full(X.shape[0], SCENARIO_3_PROPENSITY)
 
 
@@ -130,7 +130,8 @@ def true_propensity_model(scenario: int, p: int = DEFAULT_P, clip=(0.01, 0.99)) 
         gamma = np.array([-0.5, 0.5])
     else:
         fm = FeatureMap.intercept_only(p)
-        gamma = np.array([float(logit(SCENARIO_3_PROPENSITY))])
+        pi = SCENARIO_3_PROPENSITY
+        gamma = np.array([math.log(pi / (1 - pi))])
     return PropensityModel(feature_map=fm, gamma=gamma, clip=clip)
 
 

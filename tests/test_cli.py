@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import earlkit
 from earlkit import cli
 from earlkit.core import Dataset, save_csv
 from earlkit.sim import ScenarioSpec, generate_scenario
@@ -101,6 +105,52 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
     assert not (tmp_path / "out").exists()
+
+
+def _json_path(tmp_path, content):
+    """A path holding content: None leaves it missing, "dir" makes it a
+    directory, bytes are written as they are and anything else as JSON."""
+    path = tmp_path / "file.json"
+    if content == "dir":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    return path
+
+
+_UNREADABLE = {"missing": None, "directory": "dir", "non-utf8": b"\xff\xfe{}", "not-json": b"{x"}
+
+
+def _one_error_line(capsys, *fragments) -> bool:
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error: ") and all(f in err[0] for f in fragments)
+
+
+@pytest.mark.parametrize("content", [*_UNREADABLE.values(), [1, 2]], ids=[*_UNREADABLE, "array"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, train_csv, capsys, content):
+    cfg = _json_path(tmp_path, content)
+    out = tmp_path / "o.json"
+    rc = _exit_code(["fit", "--input", train_csv, "--output", str(out), "--config", str(cfg)])
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, str(cfg))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [*((c, "") for c in _UNREADABLE.values()), ({}, "'rule'"), ([1, 2], "JSON object"),
+     ({"rule": {"beta0": 0.0, "beta": [0.0]}}, "'feature_map'"), ({"rule": 5}, "malformed")],
+    ids=[*_UNREADABLE, "empty-object", "array", "no-feature-map", "rule-not-object"],
+)
+def test_bad_rule_artifact_is_a_data_error(tmp_path, train_csv, capsys, content, fragment):
+    rule = _json_path(tmp_path, content)
+    out = tmp_path / "report.json"
+    rc = _exit_code(["evaluate", "--input", train_csv, "--rule", str(rule), "--output", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert _one_error_line(capsys, str(rule), fragment)
+    assert not out.exists()
 
 
 def test_owl_artifact_aipwe_equals_ipwe(tmp_path, train_csv):
@@ -332,3 +382,18 @@ def test_permtest_reports_the_fit_coefficients(tmp_path, train_csv):
     beta = json.loads(Path(rule_path).read_text())["beta"]
     rows = [line.split(",") for line in Path(perm_path).read_text().splitlines()[1:]]
     assert [(name, coef) for name, coef, _ in rows] == [("x1", repr(beta[0])), ("x3", repr(beta[2]))]
+
+
+def test_fit_cv_imports_no_scipy(tmp_path, train_csv):
+    # numpy is earlkit's only runtime dependency; a fresh interpreter shows
+    # what the package itself imports
+    script = (
+        "import sys, earlkit, earlkit.cli, earlkit.sim\n"
+        f"rc = earlkit.cli.main(['fit', '--input', {train_csv!r}, '--output', {str(tmp_path / 'o.json')!r},"
+        " '--lambda', 'cv', '--lambda-grid', '0.5,2', '--cv-folds', '3'])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(earlkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"

@@ -93,6 +93,31 @@ def test_too_many_refit_failures_error():
         permutation_test(d, fragile, covariate=1, b=20, seed=0)
 
 
+def _singular_refits(failing):
+    """A pipeline whose first `failing` permutation refits raise LinAlgError."""
+    calls = []
+
+    def pipeline(data):
+        calls.append(None)
+        if 1 < len(calls) <= 1 + failing:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return LinearRule.raw(0.0, np.zeros(data.p))
+
+    return pipeline
+
+
+def test_linalg_error_refit_is_dropped():
+    entry = permutation_test(_dataset(n=40), _singular_refits(1), covariate=1, b=30, seed=0)
+    assert entry.permutations == 29
+    assert entry.p_value == 1.0
+
+
+def test_too_many_linalg_error_refits_error():
+    # 5% of 30 permutations tolerates one failed refit, not two
+    with pytest.raises(NumericalError, match="2 of 30 permutation refits failed"):
+        permutation_test(_dataset(n=40), _singular_refits(2), covariate=1, b=30, seed=0)
+
+
 def test_invalid_arguments():
     from earlkit.core import ConfigError
 

@@ -114,6 +114,15 @@ def test_logistic_terms_match_logaddexp_and_expit():
     assert close(phi_hess("logistic", t), expit(-t) * expit(t))
 
 
+def test_logistic_psi_is_bit_equal_to_the_xlogy_formula():
+    from scipy.special import xlogy
+
+    theta = np.linspace(0.0, 1.0, 100_001)
+    ref = 0.5 * (xlogy(1.0 + theta, 1.0 + theta) + xlogy(1.0 - theta, 1.0 - theta))
+    assert np.array_equal(psi_eval("logistic", theta), ref)
+    assert psi_eval("logistic", 1.0) == float(ref[-1])
+
+
 def test_convexity_of_every_loss():
     rng = np.random.default_rng(31)
     for name in LOSS_NAMES:

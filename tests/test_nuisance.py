@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap
 from earlkit.nuisance import (
     OutcomeModel,
     PropensityModel,
+    _expit,
     fit_outcome,
     fit_propensity,
     predict_propensity,
@@ -28,6 +29,27 @@ def test_intercept_only_balanced_gives_half():
     assert m.gamma == pytest.approx([0.0], abs=1e-12)
     assert predict_propensity(m, d.X[3], 1) == 0.5
     assert m.converged
+
+
+def test_expit_matches_scipy_within_rounding():
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                        np.random.default_rng(3).normal(scale=8.0, size=100_000)])
+    ref = expit(x)
+    got = _expit(x)
+    keep = ref >= 1e-300
+    assert np.all(np.abs(got[keep] - ref[keep]) <= 1e-15 * ref[keep])
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert _expit(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+    grid = np.linspace(-800.0, 800.0, 100_001)
+    assert np.all(np.diff(_expit(grid)) >= 0.0)
+
+
+def test_expit_raises_no_floating_point_warning_at_extremes():
+    x = np.array([-np.inf, -1000.0, -745.0, 745.0, 1000.0, np.inf])
+    with np.errstate(all="raise"):
+        got = _expit(x)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert got[-1] == 1.0 and got[-2] == 1.0 and got[0] < 1e-300
 
 
 def test_scenario2_truth_at_x1_equal_one_is_half():

@@ -83,6 +83,12 @@ def test_true_models_match_generator():
     assert np.allclose(prop3.prob(X, 1), 0.025)
 
 
+def test_scenario3_intercept_is_bit_equal_to_scipy_logit():
+    from scipy.special import logit
+
+    assert true_propensity_model(3).gamma.tolist() == [float(logit(0.025))]
+
+
 def test_model_spec_grid():
     cc = ModelSpec("CC").nuisance_spec(2)
     assert cc.propensity_map.terms == (("1",), ("x", 0))
