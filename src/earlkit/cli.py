@@ -259,6 +259,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(f"rule artifact {args.rule} has no key {exc}") from None
     except (TypeError, ValueError, EarlError) as exc:
         raise DataError(f"rule artifact {args.rule} is malformed: {exc}") from None
+    for what, model in (("rule", rule), ("propensity model", prop), ("outcome model", out)):
+        if model is not None and model.feature_map.p != data.p:
+            raise DataError(
+                f"rule artifact {args.rule}: the {what} has covariate dimension "
+                f"{model.feature_map.p}, the data {args.input} have {data.p}"
+            )
     ipwe = value_ipwe(data, rule, prop)
     aipwe = value_aipwe(data, rule, prop, out)
     report = {

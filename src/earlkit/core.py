@@ -215,24 +215,24 @@ class FeatureMap:
             A = np.asarray(A, dtype=float).reshape(-1)
             if A.shape[0] != n:
                 raise ShapeError(f"A has length {A.shape[0]}, expected {n}")
-        cols = []
-        for t in self.terms:
-            kind = t[0]
+        # each term is written straight into its column: one pass per term
+        # and no per-term temporary, with np.column_stack's values
+        out = np.empty((n, len(self.terms)))
+        for k, t in enumerate(self.terms):
+            kind, col = t[0], out[:, k]
             if kind == "1":
-                cols.append(np.ones(n))
+                col[...] = 1.0
             elif kind == "x":
-                cols.append(X[:, t[1]])
+                col[...] = X[:, t[1]]
             elif kind == "x2":
-                cols.append(X[:, t[1]] ** 2)
+                np.square(X[:, t[1]], out=col)
             elif kind == "xx":
-                cols.append(X[:, t[1]] * X[:, t[2]])
+                np.multiply(X[:, t[1]], X[:, t[2]], out=col)
             elif kind == "a":
-                cols.append(A)
+                col[...] = A
             else:  # "ax"
-                cols.append(A * X[:, t[1]])
-        if not cols:
-            return np.empty((n, 0))
-        return np.column_stack(cols)
+                np.multiply(A, X[:, t[1]], out=col)
+        return out
 
     def features(self, x, a=None) -> np.ndarray:
         """Feature vector for a single subject."""

@@ -25,7 +25,10 @@ is built once for all rows. Each CV split builds its training problem
 once, on its rows of that design, and solves it down the sorted grid,
 from the largest lambda to the smallest, each solve warm-started from the
 previous lambda's coefficients and restarted from beta = 0 after a failed
-cell (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). Every path
+cell (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). A warm
+solve after a converged one starts from that solve's evaluated point: the
+margins, the loss part of the gradient and the Hessian's row weights at
+its coefficients, none of which depends on lambda. Every path
 solve stops on the same config.tol gradient test as a cold fit, so only a
 held-out score within that tolerance of 0 can flip a decision.
 """
@@ -156,7 +159,8 @@ class _Problem:
     and each instance's phi. value() gives the objective from them and
     slopes() the gradient and the Hessian's row weights, which the solver
     asks for only at accepted points; hessian() forms the Hessian from
-    those weights.
+    those weights. Of these only value(), the gradient's ridge term and
+    hessian() depend on lam.
     """
 
     def __init__(self, Z: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray, loss: SurrogateLoss, lam: float):
@@ -174,6 +178,9 @@ class _Problem:
         self.gu, self.gv = self.aw * self.nu, self.bw * self.nv
         self.loss = loss
         self.lam = float(lam)
+        # (b, margins(b), loss_slopes at b) from the last solve of this
+        # problem if it converged at b, else None; see _solve_smooth
+        self.carry = None
 
     # phi, and -phi' with phi'', at the margins t = -mt; the smoothed hinge
     # below overrides both
@@ -195,12 +202,22 @@ class _Problem:
         risk = float((self.aw * fu + self.bw * fv).sum()) / self.n
         return risk + self.lam * float(b[1:] @ b[1:])
 
-    def slopes(self, b: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    def loss_slopes(self, m) -> tuple[np.ndarray, np.ndarray]:
+        """The loss part of the gradient and the Hessian's row weights at
+        the point m was evaluated at; neither depends on lam."""
         mu, mv, shared, fu, fv = m
         (pu, hu), (pv, hv) = self._slopes(mu, shared, fu), self._slopes(mv, shared, fv)
-        g = self.Z.T @ ((self.gu * pu + self.gv * pv) / self.n)
+        return self.Z.T @ ((self.gu * pu + self.gv * pv) / self.n), (self.aw * hu + self.bw * hv) / self.n
+
+    def ridge(self, gl: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The gradient at b at the current lam from its loss part gl."""
+        g = gl.copy()
         g[1:] += 2.0 * self.lam * b[1:]
-        return g, (self.aw * hu + self.bw * hv) / self.n
+        return g
+
+    def slopes(self, b: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+        gl, w = self.loss_slopes(m)
+        return self.ridge(gl, b), w
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         H = self.Z.T @ (w[:, None] * self.Z)
@@ -323,8 +340,11 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
     is too long for any step length the line search tries.
     """
     q = H.shape[0]
-    scale = max(float(np.max(np.abs(H))), 1e-30)
+    scale = None
     for damp in (0.0, 1e-12, 1e-8, 1e-4, 1.0):
+        if damp > 0.0 and scale is None:
+            # needed only once the undamped direction is rejected
+            scale = max(float(np.max(np.abs(H))), 1e-30)
         try:
             d = np.linalg.solve(H if damp == 0.0 else H + damp * scale * np.eye(q), -g)
         except np.linalg.LinAlgError:
@@ -335,9 +355,19 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
 
 
 def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
+    """Damped Newton iterations on prob from b (None: beta = 0).
+
+    A solve that converges leaves its last point on prob.carry. The next
+    solve on prob started from that same array b, at any lam, takes b's
+    margins and loss slopes from it instead of evaluating b again.
+    """
+    carry, prob.carry = prob.carry, None
     if b is None:
         b = np.zeros(prob.q)
-    m = prob.margins(b)
+    if carry is not None and carry[0] is b:
+        _, m, slopes = carry
+    else:
+        m, slopes = prob.margins(b), None
     f = prob.value(b, m)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting coefficient vector")
@@ -347,7 +377,9 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     stall = 0
     steps = 0
     for _ in range(max_iter):
-        g, w = prob.slopes(b, m)
+        if slopes is None:
+            slopes = prob.loss_slopes(m)
+        g, w = prob.ridge(slopes[0], b), slopes[1]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         grad_norm = float(np.max(np.abs(g)))
@@ -370,7 +402,7 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
                 break
         else:
             break
-        b, m = bn, mn
+        b, m, slopes = bn, mn, None
         steps += 1
         if fn < best_f:
             best_f, best_b = fn, b.copy()
@@ -382,6 +414,7 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
             stall = 0
         f = fn
     if converged:
+        prob.carry = (b, m, slopes)
         return b, f, steps, grad_norm, True
     grad_norm = float(np.max(np.abs(prob.gradient(best_b))))
     return best_b, best_f, steps, grad_norm, grad_norm < tol
@@ -391,13 +424,16 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
     """Minimize prob at its lam from b (None: beta = 0) with config's tolerance."""
     if prob.loss.smooth:
         return _solve_smooth(prob, config.tol, config.max_iter, b)
-    b, _, n_iter, grad_norm, converged = _solve_smooth(
-        _SmoothedHinge(prob, _HINGE_DELTA), config.tol, config.max_iter, b
-    )
+    # the smoothed problem's carry holds smoothed margins, so it is kept on
+    # prob for the next smoothed solve only, and dropped where beta = 0 wins
+    smoothed = _SmoothedHinge(prob, _HINGE_DELTA)
+    prob.carry = None
+    b, _, n_iter, grad_norm, converged = _solve_smooth(smoothed, config.tol, config.max_iter, b)
+    prob.carry = smoothed.carry
     zero = np.zeros(prob.q)
     f, f0 = prob.objective(b), prob.objective(zero)
     if f0 < f:
-        b, f = zero, f0
+        b, f, prob.carry = zero, f0, None
     return b, f, n_iter, grad_norm, converged
 
 
@@ -571,7 +607,11 @@ def select_lambda(
     weights are built once and shared by every lambda. The grid is walked
     from the largest lambda to the smallest, each solve warm-started from
     the previous lambda's coefficients; after a failed cell the next
-    lambda starts again from beta = 0. Every solve stops on the same
+    lambda starts again from beta = 0. A warm solve after a converged one
+    starts from that solve's evaluated point (its margins, loss gradient
+    and Hessian weights), so it evaluates nothing before its first
+    gradient test, and its result is bit-identical to a warm start that
+    evaluates the point afresh. Every solve stops on the same
     config.tol gradient test as a cold earl_fit (or earl_fit_crossfit), so
     its decisions on the held fold can differ from the cold fit's only
     where a held-out score lies within that tolerance of 0. With

@@ -153,6 +153,41 @@ def test_bad_rule_artifact_is_a_data_error(tmp_path, train_csv, capsys, content,
     assert not out.exists()
 
 
+def _maps_artifact(rule_p, prop_p, out_p):
+    """A rule artifact whose rule, propensity and outcome maps are over the
+    given covariate dimensions."""
+    return {
+        "rule": {"beta0": 0.5, "beta": [1.0], "feature_map": {"p": rule_p, "terms": [["x", 0]]}},
+        "propensity": {"feature_map": {"p": prop_p, "terms": [["1"]]}, "gamma": [0.0],
+                       "clip": [0.01, 0.99], "ridge": 0.0},
+        "outcome": {"feature_map": {"p": out_p, "terms": [["1"]]}, "theta": [0.0]},
+    }
+
+
+@pytest.mark.parametrize(
+    "artifact, fragment",
+    [(None, "the rule has covariate dimension 4"),
+     (_maps_artifact(3, 4, 3), "the propensity model has covariate dimension 4"),
+     (_maps_artifact(3, 3, 4), "the outcome model has covariate dimension 4")],
+    ids=["fitted-rule", "propensity", "outcome"],
+)
+def test_rule_data_dimension_mismatch_is_a_data_error(tmp_path, train_csv, capsys, artifact, fragment):
+    rule = tmp_path / "rule.json"
+    if artifact is None:
+        assert cli.main(["fit", "--input", train_csv, "--output", str(rule), "--lambda", "1"]) == 0
+    else:
+        rule.write_text(json.dumps(artifact))
+    d = generate_scenario(ScenarioSpec(2, 150, p=3), 5)
+    data = tmp_path / "p3.csv"
+    save_csv(d, data)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = _exit_code(["evaluate", "--input", str(data), "--rule", str(rule), "--output", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert _one_error_line(capsys, str(rule), fragment, "have 3")
+    assert not out.exists()
+
+
 def test_owl_artifact_aipwe_equals_ipwe(tmp_path, train_csv):
     rule_path = str(tmp_path / "owl.json")
     rc = cli.main(

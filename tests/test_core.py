@@ -80,6 +80,44 @@ def test_feature_map_design_and_labels():
     assert fm.uses_treatment and fm.has_intercept
 
 
+def _term_column(t, X, A):
+    kind = t[0]
+    return {
+        "1": lambda: np.ones(X.shape[0]),
+        "x": lambda: X[:, t[1]],
+        "x2": lambda: X[:, t[1]] ** 2,
+        "xx": lambda: X[:, t[1]] * X[:, t[2]],
+        "a": lambda: A,
+        "ax": lambda: A * X[:, t[1]],
+    }[kind]()
+
+
+@pytest.mark.parametrize(
+    "fm, n",
+    [(FeatureMap(3, (("1",), ("x", 0), ("x2", 1), ("xx", 0, 2), ("a",), ("ax", 1))), 37),
+     (FeatureMap.from_name("quadratic*a", 4), 250),
+     (FeatureMap.from_name("linear+interactions", 3), 1),
+     (FeatureMap(3, (("1",), ("x", 2), ("ax", 0))), 1),
+     (FeatureMap(2, ()), 5),
+     (FeatureMap(2, ()), 1)],
+    ids=["every-kind", "quadratic*a", "interactions-n1", "treatment-n1", "empty", "empty-n1"],
+)
+def test_design_is_the_column_stack_of_its_terms(fm, n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, fm.p)) * 10.0 ** rng.integers(-3, 4, size=(n, fm.p))
+    A = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    # n = 1 also goes in as a 1-D x
+    inputs = [X] + ([X[0]] if n == 1 else [])
+    for x in inputs:
+        Z = fm.design(x, A if fm.uses_treatment else None)
+        assert Z.flags.c_contiguous and Z.dtype == np.float64
+        if fm.q == 0:
+            assert Z.shape == (n, 0)
+            continue
+        ref = np.column_stack([_term_column(t, np.atleast_2d(x), A) for t in fm.terms])
+        assert Z.shape == ref.shape and np.array_equal(Z, ref)
+
+
 def test_feature_map_fixed_length():
     fm = FeatureMap.quadratic(4)
     rng = np.random.default_rng(0)

@@ -400,6 +400,88 @@ def test_select_lambda_restarts_from_zero_after_failed_cell(monkeypatch):
     assert rows[4.0] == cold[4.0]
 
 
+def _record_evaluations(monkeypatch):
+    """A list that records, in order, each solve's start ("cold" or
+    "warm"), each margins evaluation ("m") and each objective value ("v")."""
+    events = []
+    real_margins, real_value = earl_mod._Problem.margins, earl_mod._Problem.value
+    real_smooth = earl_mod._solve_smooth
+
+    def margins(self, b):
+        events.append("m")
+        return real_margins(self, b)
+
+    def value(self, b, m):
+        events.append("v")
+        return real_value(self, b, m)
+
+    def smooth(prob, tol, max_iter, b=None):
+        events.append("cold" if b is None else "warm")
+        return real_smooth(prob, tol, max_iter, b)
+
+    monkeypatch.setattr(earl_mod._Problem, "margins", margins)
+    monkeypatch.setattr(earl_mod._Problem, "value", value)
+    monkeypatch.setattr(earl_mod, "_solve_smooth", smooth)
+    return events
+
+
+@pytest.mark.parametrize("crossfit", [False, True])
+def test_select_lambda_carries_each_converged_point_down_the_path(monkeypatch, crossfit):
+    d = generate_scenario(ScenarioSpec(2, 300), 5)
+    cfg = EarlConfig(loss="logistic", seed=1)
+    events = _record_evaluations(monkeypatch)
+    sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+    solves = cfg.cv_folds * len(cfg.lambda_grid) * (cfg.k_folds if crossfit else 1)
+    cold = events.count("cold")
+    assert cold == cfg.cv_folds * (cfg.k_folds if crossfit else 1)
+    assert events.count("warm") == solves - cold
+    # a cold solve evaluates its start; a warm one takes the previous solve's
+    # evaluated point and goes straight to its objective value
+    for i, e in enumerate(events):
+        if e == "cold":
+            assert events[i + 1 : i + 3] == ["m", "v"]
+        elif e == "warm":
+            assert events[i + 1] == "v"
+    # every other margins evaluation is a line-search trial point, each
+    # followed by its value
+    trials = events.count("v") - solves
+    assert events.count("m") == trials + cold
+
+    # handing each solve a copy of its start defeats the carry: the same
+    # table, at one more evaluation per warm solve (10 splits x 10 warm
+    # lambdas, per cross-fitting fold)
+    real_solve = earl_mod._solve
+
+    def copied(prob, config, b=None):
+        return real_solve(prob, config, None if b is None else b.copy())
+
+    monkeypatch.setattr(earl_mod, "_solve", copied)
+    carried_margins = events.count("m")
+    events.clear()
+    assert select_lambda(d, _cc_spec(), cfg, crossfit=crossfit).table == sel.table
+    assert events.count("m") - carried_margins == solves - cold == (200 if crossfit else 100)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+def test_solve_after_a_replaced_point_starts_fresh(loss):
+    # a solve stopped at max_iter returns its best point, not its last one,
+    # and a hinge solve from a poor start returns beta = 0 in place of its
+    # smoothed point; the next solve from either must equal one from a copy
+    d, rng = _data(200, 3, seed=7)
+    w = (rng.normal(size=200) * 3, rng.normal(size=200) * 3)
+    cfg = EarlConfig(loss=loss, lam=0.1)
+    prob, _ = _build_problem(d, w, cfg)
+    start = np.full(prob.q, 5.0) if loss == "hinge" else None
+    b, _, _, _, converged = earl_mod._solve(prob, replace(cfg, max_iter=1), start)
+    assert not converged
+    if loss == "hinge":
+        assert not np.any(b)
+    prob.lam = 0.05
+    carried = earl_mod._solve(prob, cfg, b)
+    fresh = earl_mod._solve(prob, cfg, b.copy())
+    assert np.array_equal(carried[0], fresh[0]) and carried[1:] == fresh[1:]
+
+
 @pytest.mark.parametrize("crossfit", [False, True])
 def test_select_lambda_fits_nuisances_once_per_split(monkeypatch, crossfit):
     calls = []
