@@ -13,6 +13,7 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -201,8 +202,20 @@ class FeatureMap:
     def has_intercept(self) -> bool:
         return bool(self.terms) and self.terms[0][0] == "1"
 
+    @cached_property
+    def _with_intercept(self) -> "FeatureMap":
+        """This map, which has no intercept term, with one in front: every
+        rule fit asks for it, so it is built once per map (a frozen
+        dataclass still caches into its instance __dict__)."""
+        return FeatureMap(self.p, (("1",),) + self.terms)
+
     def design(self, X, A=None) -> np.ndarray:
-        """n x q design matrix for covariates X and (if needed) treatments A."""
+        """n x q design matrix for covariates X and (if needed) treatments A.
+
+        The matrix is column-major (Fortran order): each term's column is
+        contiguous, which is how the BLAS products Z @ b, Z.T @ r and
+        Z.T @ (w[:, None] * Z) read it fastest.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -215,9 +228,10 @@ class FeatureMap:
             A = np.asarray(A, dtype=float).reshape(-1)
             if A.shape[0] != n:
                 raise ShapeError(f"A has length {A.shape[0]}, expected {n}")
-        # each term is written straight into its column: one pass per term
-        # and no per-term temporary, with np.column_stack's values
-        out = np.empty((n, len(self.terms)))
+        # each term is written straight into its contiguous column: one pass
+        # per term and no per-term temporary, holding the values of the
+        # np.column_stack of the terms
+        out = np.empty((n, len(self.terms)), order="F")
         for k, t in enumerate(self.terms):
             kind, col = t[0], out[:, k]
             if kind == "1":

@@ -21,16 +21,20 @@ Lambda is chosen by cross-validated held-out value, the cross-fitted AIPW
 score: each CV split fits the nuisance models once on its training folds,
 and the held fold is scored with the doubly robust weights under those
 models (Chernozhukov et al. 2018, Econometrics J. 21:C1). The rule design
-is built once for all rows. Each CV split builds its training problem
-once, on its rows of that design, and solves it down the sorted grid,
-from the largest lambda to the smallest, each solve warm-started from the
-previous lambda's coefficients and restarted from beta = 0 after a failed
-cell (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). A warm
-solve after a converged one starts from that solve's evaluated point: the
-margins, the loss part of the gradient and the Hessian's row weights at
-its coefficients, none of which depends on lambda. Every path
-solve stops on the same config.tol gradient test as a cold fit, so only a
-held-out score within that tolerance of 0 can flip a decision.
+is built once for all rows. Like every design in the package it is stored
+column-major, and each split takes its training rows and its held rows as
+one column-major copy each, so the solver's products read contiguous
+columns (glmnet stores its design by column for the same reason). Each CV
+split builds its training problem once, on its rows of that design, and
+solves it down the sorted grid, from the largest lambda to the smallest,
+each solve warm-started from the previous lambda's coefficients and
+restarted from beta = 0 after a failed cell (Friedman, Hastie &
+Tibshirani 2010, J. Stat. Softw. 33(1)). A warm solve after a converged
+one starts from that solve's evaluated point: the margins, the loss part
+of the gradient and the Hessian's row weights at its coefficients, none of
+which depends on lambda. Every path solve stops on the same config.tol
+gradient test as a cold fit, so only a held-out score within that
+tolerance of 0 can flip a decision.
 """
 
 from __future__ import annotations
@@ -181,6 +185,9 @@ class _Problem:
         # (b, margins(b), loss_slopes at b) from the last solve of this
         # problem if it converged at b, else None; see _solve_smooth
         self.carry = None
+        # the objective at b = 0, which does not depend on lam; set by
+        # _solve's hinge guard when it first needs it
+        self.zero_value = None
 
     # phi, and -phi' with phi'', at the margins t = -mt; the smoothed hinge
     # below overrides both
@@ -295,8 +302,15 @@ class _SmoothedHinge(_Problem):
 
 
 def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    Phi = fm.design(X)
-    return np.column_stack([np.ones(Phi.shape[0]), Phi])
+    """The rule design [1, fm(X)]: the column-major design of fm with an
+    intercept term in front, filled in one pass."""
+    return fm._with_intercept.design(X)
+
+
+def _rows(Z: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of the column-major design Z where mask holds, as one
+    column-major copy (Z[mask] would be row-major)."""
+    return np.compress(mask, Z.T, axis=1).T
 
 
 def _rule_map(config: EarlConfig, p: int) -> FeatureMap:
@@ -430,10 +444,11 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
     prob.carry = None
     b, _, n_iter, grad_norm, converged = _solve_smooth(smoothed, config.tol, config.max_iter, b)
     prob.carry = smoothed.carry
-    zero = np.zeros(prob.q)
-    f, f0 = prob.objective(b), prob.objective(zero)
-    if f0 < f:
-        b, f, prob.carry = zero, f0, None
+    if prob.zero_value is None:
+        prob.zero_value = prob.objective(np.zeros(prob.q))
+    f = prob.objective(b)
+    if prob.zero_value < f:
+        b, f, prob.carry = np.zeros(prob.q), prob.zero_value, None
     return b, f, n_iter, grad_norm, converged
 
 
@@ -525,7 +540,7 @@ def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig
         erm_idx = np.flatnonzero(keep)
         prop, out = nuisance.fit(data.subset(fold_idx))
         erm_data = data.subset(erm_idx)
-        prob, fm = _build_problem(erm_data, dr_weights(erm_data, prop, out), config, Z[keep])
+        prob, fm = _build_problem(erm_data, dr_weights(erm_data, prop, out), config, _rows(Z, keep))
         parts.append((fold_idx, erm_idx, prop, out, prob))
     return parts, fm
 
@@ -642,17 +657,18 @@ def select_lambda(
             models = nuisance.fit(train)
             w_h = dr_weights(data.subset(hold), *models)
             if crossfit:
-                parts, _ = _crossfit_problems(train, nuisance, config, Z=Z[keep])
+                parts, _ = _crossfit_problems(train, nuisance, config, Z=_rows(Z, keep))
                 probs = [prob for *_, prob in parts]
             else:
-                probs = [_build_problem(train, dr_weights(train, *models), config, Z[keep])[0]]
+                probs = [_build_problem(train, dr_weights(train, *models), config, _rows(Z, keep))[0]]
         except (EarlError, np.linalg.LinAlgError) as exc:
             for row in errors:
                 row[j] = _reason(exc)
             continue
-        # the held rows' rule features, scored with LinearRule.scores' arithmetic
-        # so that a cell equals value_aipwe of the same rule exactly
-        Phi_h = Z[hold, 1:]
+        # the held rows' rule features, column-major like the fresh design
+        # LinearRule.scores reads and scored with its arithmetic, so that a
+        # cell equals value_aipwe of the same rule exactly
+        Phi_h = _rows(Z[:, 1:], ~keep)
         starts = [None] * len(probs)
         for i in reversed(range(len(grid))):
             try:

@@ -110,7 +110,7 @@ def test_design_is_the_column_stack_of_its_terms(fm, n):
     inputs = [X] + ([X[0]] if n == 1 else [])
     for x in inputs:
         Z = fm.design(x, A if fm.uses_treatment else None)
-        assert Z.flags.c_contiguous and Z.dtype == np.float64
+        assert Z.flags.f_contiguous and Z.dtype == np.float64
         if fm.q == 0:
             assert Z.shape == (n, 0)
             continue

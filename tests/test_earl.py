@@ -523,6 +523,62 @@ def test_rule_design_rows_match_the_subset_design(quadratic):
     assert full.shape == sub.shape and full.tobytes() == sub.tobytes()
 
 
+def test_every_problem_design_is_column_major(monkeypatch):
+    # each problem's rule design must stay column-major, and equal to the
+    # matching rows of the row-major column stack [1, X]: a row-major
+    # design gives the same fits at rounding level, so only this test
+    # sees a fall back to it
+    designs = []
+    real_init = earl_mod._Problem.__init__
+
+    def recorded(self, Z, *args):
+        designs.append(Z)
+        real_init(self, Z, *args)
+
+    monkeypatch.setattr(earl_mod._Problem, "__init__", recorded)
+    d = generate_scenario(ScenarioSpec(2, 200), 3)
+    spec = _cc_spec()
+    cfg = EarlConfig(lambda_grid=(0.25, 1.0), cv_folds=4, k_folds=2, seed=1)
+    by_row = np.column_stack([np.ones(d.n), d.X])
+    every = np.arange(d.n)
+    splits = [np.setdiff1d(every, hold) for hold in earl_mod._partition(d.n, cfg.cv_folds, cfg.seed, 4242)]
+
+    def crossfit_rows(rows):
+        # each cross-fitting problem holds its rows' complement of a fold
+        folds = earl_mod._partition(len(rows), cfg.k_folds, cfg.seed, 7011)
+        return [rows[np.setdiff1d(np.arange(len(rows)), f)] for f in folds]
+
+    earl_fit(d, dr_weights(d, *spec.fit(d)), cfg)
+    earl_fit_crossfit(d, spec, cfg)
+    select_lambda(d, spec, cfg)
+    select_lambda(d, spec, cfg, crossfit=True)
+    expected = [every] + crossfit_rows(every) + splits + [r for rows in splits for r in crossfit_rows(rows)]
+    assert len(designs) == len(expected) == 1 + 2 + 4 + 8
+    for Z, rows in zip(designs, expected):
+        assert Z.flags.f_contiguous and np.array_equal(Z, by_row[rows])
+
+
+@pytest.mark.parametrize("crossfit", [False, True])
+def test_hinge_guard_evaluates_beta_zero_once_per_problem(monkeypatch, crossfit):
+    # the hinge objective at beta = 0 does not depend on lambda, so the
+    # guard evaluates it once per problem, not once per solve
+    at_zero = []
+    real_margins = earl_mod._Problem.margins
+
+    def margins(self, b):
+        if type(self) is earl_mod._Problem and not np.any(b):
+            at_zero.append(self)
+        return real_margins(self, b)
+
+    monkeypatch.setattr(earl_mod._Problem, "margins", margins)
+    d = generate_scenario(ScenarioSpec(2, 200), 3)
+    cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, k_folds=2, seed=2)
+    sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+    assert len(at_zero) == len(set(map(id, at_zero))) == cfg.cv_folds * (cfg.k_folds if crossfit else 1)
+    monkeypatch.undo()
+    assert sel.table == _cold_table(d, _cc_spec(), cfg, crossfit)
+
+
 def test_n_iter_counts_newton_steps(monkeypatch):
     calls = []
     real_hessian = earl_mod._Problem.hessian

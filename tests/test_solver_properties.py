@@ -20,15 +20,21 @@ def _data(seed, n, p):
     return Dataset(X, A, Y), rng
 
 
+def _kkt_norm(prob, b):
+    """The sup-norm of a fresh gradient at b, the one the solver's
+    convergence test reads: for the hinge, that of its smoothing."""
+    if not prob.loss.smooth:
+        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTA)
+    return float(np.max(np.abs(prob.gradient(b))))
+
+
 def _check_status(prob, tol, solution):
     """grad_norm is the sup-norm of a fresh gradient at the returned b (for
     the hinge, of its smoothing), and converged means it passed."""
     b, _, _, grad_norm, converged = solution
-    if not prob.loss.smooth:
-        if not np.any(b):
-            return  # the beta = 0 guard replaced the smoothed solution
-        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTA)
-    assert grad_norm == float(np.max(np.abs(prob.gradient(b))))
+    if not prob.loss.smooth and not np.any(b):
+        return  # the beta = 0 guard replaced the smoothed solution
+    assert grad_norm == _kkt_norm(prob, b)
     assert not converged or grad_norm < tol
 
 
@@ -120,3 +126,35 @@ def test_hinge_first_step_is_the_exact_line_minimizer(seed, n, p, delta, lam, fl
     ts = np.concatenate([np.linspace(0.0, 2.0 * max(t, 1.0), 401), [t * (1 - 1e-6), t * (1 + 1e-6)]])
     f = prob.objective(b + t * direction)
     assert f <= min(prob.objective(b + s * direction) for s in ts) + 1e-12 * (1.0 + abs(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 200),
+    p=st.integers(1, 3),
+    quadratic=st.booleans(),
+    lam=st.sampled_from([0.0, 1e-3, 1.0]),
+)
+def test_design_layout_moves_a_solution_at_rounding_level(seed, n, p, quadratic, lam):
+    """The same problem solved on its column-major design and on a row-major
+    copy differs only in BLAS's summation order: both converge, their
+    objectives agree within 1e-12 relative, and each solution passes the
+    other layout's gradient test."""
+    d, rng = _data(seed, n, p)
+    w = (rng.normal(size=n) * 3, rng.normal(size=n) * 3)
+    fm = FeatureMap.quadratic(p, intercept=False) if quadratic else None
+    for loss in LOSS_NAMES:
+        cfg = EarlConfig(loss=loss, lam=lam, feature_map=fm)
+        by_col, _ = _build_problem(d, w, cfg)
+        by_row, _ = _build_problem(d, w, cfg)
+        by_row.Z = np.ascontiguousarray(by_row.Z)
+        assert by_col.Z.flags.f_contiguous and by_row.Z.flags.c_contiguous
+        assert np.array_equal(by_col.Z, by_row.Z)
+        solutions = [earl_mod._solve(prob, cfg) for prob in (by_col, by_row)]
+        assert all(converged for *_, converged in solutions)
+        f_col, f_row = solutions[0][1], solutions[1][1]
+        assert abs(f_col - f_row) <= 1e-12 * max(abs(f_col), abs(f_row))
+        for prob, (b, *_) in ((by_row, solutions[0]), (by_col, solutions[1])):
+            if prob.loss.smooth or np.any(b):  # else the beta = 0 guard won
+                assert _kkt_norm(prob, b) < cfg.tol
