@@ -193,7 +193,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = load_csv(args.input)
     k = args.crossfit
     use_cv, econf, nspec = _model(
-        args, data.p, k_folds=max(k, 2), cv_folds=args.cv_folds,
+        args, data.p, k_folds=k or 2, cv_folds=args.cv_folds,
         lambda_grid=_parse_grid(args.lambda_grid),
     )
     method = args.method
@@ -384,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--lambda-grid", dest="lambda_grid", default=DEFAULT_LAMBDA_GRID, help="comma-separated grid for cv"
     )
-    sp.add_argument("--crossfit", type=int, default=0, help="number of sample-splitting folds K (0 = off)")
+    sp.add_argument("--crossfit", type=int, default=0, help="number of sample-splitting folds K >= 2 (0 = off)")
     sp.add_argument("--cv-folds", dest="cv_folds", type=int, default=10, help="folds of --lambda cv")
 
     sp = command("evaluate", cmd_evaluate, "evaluate a fitted rule on a CSV file")

@@ -5,7 +5,10 @@ The estimator minimizes
     P_n[ |W_1| phi{sgn(W_1) f(X)} + |W_-1| phi{-sgn(W_-1) f(X)} ] + lam ||beta||^2
 
 over linear rules f(x) = beta0 + beta' features(x); the intercept is not
-penalized. Every loss is solved by damped Newton iterations with
+penalized. This is weighted classification with two instances per subject
+(Zhang et al. 2012, Stat 1:103), held as one (2, n) array W = (W_1, -W_-1)
+of signed instance weights: an instance has the weight |W| and the label
+sgn(W). Every loss is solved by damped Newton iterations with
 backtracking; the hinge loss by the same iterations on a Huber-smoothed
 hinge of width 1e-5 (Chapelle 2007, Neural Computation 19:1155; Nesterov
 2005, Math. Programming 103:127). A smoothed-hinge objective is piecewise
@@ -140,7 +143,7 @@ class EarlFit:
     fold_artifacts: tuple[FoldArtifact, ...] | None = None
 
 
-def _as_weight_arrays(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _as_weight_arrays(weights, n: int) -> np.ndarray:
     if isinstance(weights, tuple) and len(weights) == 2 and not isinstance(weights[0], WeightPair):
         w_pos = np.asarray(weights[0], dtype=float).reshape(-1)
         w_neg = np.asarray(weights[1], dtype=float).reshape(-1)
@@ -149,45 +152,39 @@ def _as_weight_arrays(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
         w_neg = np.array([wp.w_neg for wp in weights], dtype=float)
     if w_pos.shape[0] != n or w_neg.shape[0] != n:
         raise DataError(f"weights must align with the {n} data rows")
-    if not (np.all(np.isfinite(w_pos)) and np.all(np.isfinite(w_neg))):
+    W = np.stack([w_pos, -w_neg])
+    if not np.all(np.isfinite(W)):
         raise DataError("weights must be finite")
-    return w_pos, w_neg
+    return W
 
 
 class _Problem:
     """Precomputed pieces of the weighted surrogate objective in b = (beta0, beta).
 
-    A subject's two instances have the margins u s and v s, with s = Z b
-    and u, v = +-1. margins() evaluates a point b once: the loss pieces
-    its two margins share (for the logistic loss, every transcendental)
-    and each instance's phi. value() gives the objective from them and
-    slopes() the gradient and the Hessian's row weights, which the solver
-    asks for only at accepted points; hessian() forms the Hessian from
-    those weights. Of these only value(), the gradient's ridge term and
-    hessian() depend on lam.
+    W holds the signed instance weights, a row per instance and a column per
+    subject; an instance has the margin sgn(W) s, with s = Z b. margins()
+    evaluates a point b once: the loss pieces a subject's margins share (for
+    the logistic loss, every transcendental) and each instance's phi.
+    value() gives the objective from them and slopes() the gradient and the
+    Hessian's row weights, which the solver asks for only at accepted
+    points; hessian() forms the Hessian from those weights. Each sum adds a
+    subject's instances first, then the subjects. Of these only value(),
+    the gradient's ridge term and hessian() depend on lam.
     """
 
-    def __init__(self, Z: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray, loss: SurrogateLoss, lam: float):
+    def __init__(self, Z: np.ndarray, W: np.ndarray, loss: SurrogateLoss, lam: float):
         self.Z = Z
-        self.n = Z.shape[0]
-        self.q = Z.shape[1]
-        self.aw = np.abs(w_pos)
-        self.bw = np.abs(w_neg)
-        self.u = np.asarray(sgn(w_pos), dtype=float)
-        self.v = -np.asarray(sgn(w_neg), dtype=float)
-        # the loss takes -t = -u s; a gradient row is
-        # aw phi'(u s) u = (-aw u) (-phi'(u s)), and likewise for v, where
-        # every sign flip is exact
-        self.nu, self.nv = -self.u, -self.v
-        self.gu, self.gv = self.aw * self.nu, self.bw * self.nv
+        self.n, self.q = Z.shape
+        self.aw = np.abs(W)
+        # the loss takes -t = -sgn(W) s; a gradient row is |W| phi'(t) sgn(W)
+        # = (-|W| sgn(W)) (-phi'(t)), where every sign flip is exact
+        self.neg = -np.asarray(sgn(W), dtype=float)
+        self.gw = self.aw * self.neg
         self.loss = loss
         self.lam = float(lam)
         # (b, margins(b), loss_slopes at b) from the last solve of this
         # problem if it converged at b, else None; see _solve_smooth
         self.carry = None
-        # the objective at b = 0, which does not depend on lam; set by
-        # _solve's hinge guard when it first needs it
-        self.zero_value = None
 
     # phi, and -phi' with phi'', at the margins t = -mt; the smoothed hinge
     # below overrides both
@@ -200,21 +197,19 @@ class _Problem:
     def margins(self, b: np.ndarray):
         s = self.Z @ b
         shared = _shared(self.loss.kind, s)
-        mu, mv = self.nu * s, self.nv * s
-        return mu, mv, shared, self._phi(mu, shared), self._phi(mv, shared)
+        mt = self.neg * s
+        return mt, shared, self._phi(mt, shared)
 
     def value(self, b: np.ndarray, m) -> float:
-        *_, fu, fv = m
         # the sum over n is np.mean's arithmetic without its call overhead
-        risk = float((self.aw * fu + self.bw * fv).sum()) / self.n
+        risk = float((self.aw * m[2]).sum(axis=0).sum()) / self.n
         return risk + self.lam * float(b[1:] @ b[1:])
 
     def loss_slopes(self, m) -> tuple[np.ndarray, np.ndarray]:
         """The loss part of the gradient and the Hessian's row weights at
         the point m was evaluated at; neither depends on lam."""
-        mu, mv, shared, fu, fv = m
-        (pu, hu), (pv, hv) = self._slopes(mu, shared, fu), self._slopes(mv, shared, fv)
-        return self.Z.T @ ((self.gu * pu + self.gv * pv) / self.n), (self.aw * hu + self.bw * hv) / self.n
+        p, h = self._slopes(*m)
+        return self.Z.T @ ((self.gw * p).sum(axis=0) / self.n), (self.aw * h).sum(axis=0) / self.n
 
     def ridge(self, gl: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The gradient at b at the current lam from its loss part gl."""
@@ -276,9 +271,9 @@ class _SmoothedHinge(_Problem):
         end. Anything but a finite t* > 0 falls back to 1.
         """
         zd = self.Z @ d
-        r = 1.0 + np.concatenate(m[:2])
-        e = np.concatenate([self.nu * zd, self.nv * zd])
-        h = np.concatenate([self.aw, self.bw]) * e * e / (self.n * self.delta)
+        r = 1.0 + m[0].ravel()
+        e = (self.neg * zd).ravel()
+        h = self.aw.ravel() * e * e / (self.n * self.delta)
         on = h > 0.0
         r, e, h = r[on], e[on], h[on]
         # where r(t) crosses 0 and delta
@@ -325,10 +320,10 @@ def _build_problem(data: Dataset, weights, config: EarlConfig, Z=None) -> tuple[
     design of data's rows (rows of a larger design, since a design row
     depends only on its data row)."""
     fm = _rule_map(config, data.p)
-    w_pos, w_neg = _as_weight_arrays(weights, data.n)
+    W = _as_weight_arrays(weights, data.n)
     if Z is None:
         Z = _rule_design(data.X, fm)
-    return _Problem(Z, w_pos, w_neg, get_loss(config.loss), config.lam), fm
+    return _Problem(Z, W, get_loss(config.loss), config.lam), fm
 
 
 def earl_objective(rule: LinearRule, weights, data: Dataset, loss, lam: float) -> float:
@@ -337,9 +332,8 @@ def earl_objective(rule: LinearRule, weights, data: Dataset, loss, lam: float) -
     weights may be a sequence of WeightPair or a (W_1, W_-1) array pair
     aligned with the data rows. The intercept is excluded from the penalty.
     """
-    w_pos, w_neg = _as_weight_arrays(weights, data.n)
     Z = _rule_design(data.X, rule.feature_map)
-    prob = _Problem(Z, w_pos, w_neg, get_loss(loss), float(lam))
+    prob = _Problem(Z, _as_weight_arrays(weights, data.n), get_loss(loss), float(lam))
     b = np.concatenate([[rule.beta0], rule.beta])
     return prob.objective(b)
 
@@ -444,11 +438,11 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
     prob.carry = None
     b, _, n_iter, grad_norm, converged = _solve_smooth(smoothed, config.tol, config.max_iter, b)
     prob.carry = smoothed.carry
-    if prob.zero_value is None:
-        prob.zero_value = prob.objective(np.zeros(prob.q))
     f = prob.objective(b)
-    if prob.zero_value < f:
-        b, f, prob.carry = np.zeros(prob.q), prob.zero_value, None
+    # the hinge is 1 at margin 0: the objective at beta = 0 is mean(|W_1| + |W_-1|)
+    zero = float(prob.aw.sum(axis=0).sum()) / prob.n
+    if zero < f:
+        b, f, prob.carry = np.zeros(prob.q), zero, None
     return b, f, n_iter, grad_norm, converged
 
 
@@ -602,6 +596,21 @@ def _reason(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _selection_failure(errors: list[list]) -> EarlError:
+    """The error of a selection with no finite mean value, from each cell's
+    exception (None where the cell has a value): the nearest class of every
+    failed cell's error, quoting the first, or a NumericalError if some cell
+    failed numerically or has a value (an infinite one)."""
+    cells = [exc for row in errors for exc in row]
+    failed = [exc for exc in cells if exc is not None]
+    msg = f"every cross-validated value was non-finite; {len(failed)} of {len(cells)} cells failed"
+    if failed:
+        msg += f", e.g. {_reason(failed[0])}"
+    if len(failed) < len(cells) or any(isinstance(e, (NumericalError, np.linalg.LinAlgError)) for e in failed):
+        return NumericalError(msg)
+    return next(c for c in type(failed[0]).__mro__ if all(isinstance(e, c) for e in failed))(msg)
+
+
 def select_lambda(
     data: Dataset,
     nuisance: NuisanceSpec,
@@ -638,7 +647,9 @@ def select_lambda(
     coefficients, contributes NaN (None in the table's fold_values, and
     "<ExceptionClass>: <message>" in its fold_errors) and is ignored; a
     failed nuisance fit fails its whole split. Any other error propagates.
-    If every value is non-finite the selection fails.
+    If every lambda's mean value is non-finite the selection fails with the
+    nearest error class the failed cells share (a NumericalError if some
+    cell failed numerically), quoting one cell's reason.
     """
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
@@ -663,7 +674,7 @@ def select_lambda(
                 probs = [_build_problem(train, dr_weights(train, *models), config, _rows(Z, keep))[0]]
         except (EarlError, np.linalg.LinAlgError) as exc:
             for row in errors:
-                row[j] = _reason(exc)
+                row[j] = exc
             continue
         # the held rows' rule features, column-major like the fresh design
         # LinearRule.scores reads and scored with its arithmetic, so that a
@@ -679,7 +690,7 @@ def select_lambda(
                 if not np.all(np.isfinite(b)):
                     raise DataError("rule coefficients must be finite")
             except (EarlError, np.linalg.LinAlgError) as exc:
-                errors[i][j] = _reason(exc)
+                errors[i][j] = exc
                 starts = [None] * len(probs)
                 continue
             vals[i, j] = _dr_value(sgn(b[0] + Phi_h @ b[1:]), *w_h)
@@ -688,7 +699,7 @@ def select_lambda(
     counts = np.sum(~missing, axis=1)
     means = np.sum(np.where(missing, 0.0, vals), axis=1) / np.where(counts > 0, counts, np.nan)
     if not np.any(np.isfinite(means)):
-        raise NumericalError("every cross-validated value was non-finite")
+        raise _selection_failure(errors)
     best_lam, best_val = None, -np.inf
     for lam, m in zip(grid, means):
         if np.isfinite(m) and m >= best_val:
@@ -698,9 +709,9 @@ def select_lambda(
             "lambda": float(lam),
             "mean_value": (float(m) if np.isfinite(m) else None),
             "fold_values": [float(v) if np.isfinite(v) else None for v in row],
-            "fold_errors": errs,
+            "fold_errors": [None if exc is None else _reason(exc) for exc in excs],
         }
-        for lam, m, row, errs in zip(grid, means, vals, errors)
+        for lam, m, row, excs in zip(grid, means, vals, errors)
     )
     return LambdaSelection(lambda_=best_lam, table=table)
 

@@ -127,8 +127,10 @@ def fit_propensity(
 ) -> PropensityModel:
     """Fit pi(1; x) = expit{gamma' features(x)} by penalized IRLS.
 
-    The intercept is never penalized. Convergence is declared when the
-    largest score component falls below 1e-8 or after 100 iterations.
+    The intercept is never penalized. The fit converges when the largest
+    score component falls below 1e-8; it stops with converged=False after
+    100 iterations, or earlier when no step length keeps the penalized
+    log-likelihood from decreasing.
     Raises ConvergenceError for perfectly separated data with ridge = 0 and
     NumericalError if the weighted normal equations are singular.
     """

@@ -122,12 +122,9 @@ def optimal_rule(p: int = DEFAULT_P) -> LinearRule:
 
 def true_propensity_model(scenario: int, p: int = DEFAULT_P, clip=(0.01, 0.99)) -> PropensityModel:
     """The data-generating propensity wrapped as a fitted-model object."""
-    if scenario == 1:
-        fm = FeatureMap(p, (("1",), ("x", 0), ("x", 1), ("xx", 0, 1)))
-        gamma = np.array([0.0, 1.0, 1.0, 1.0])
-    elif scenario == 2:
-        fm = FeatureMap(p, (("1",), ("x", 0)))
-        gamma = np.array([-0.5, 0.5])
+    if scenario in (1, 2):
+        fm = _propensity_map(True, scenario, p)
+        gamma = np.array([0.0, 1.0, 1.0, 1.0] if scenario == 1 else [-0.5, 0.5])
     else:
         fm = FeatureMap.intercept_only(p)
         pi = SCENARIO_3_PROPENSITY

@@ -297,6 +297,30 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, train_csv):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("k", ["1", "-3"])
+def test_fit_rejects_crossfit_below_two(tmp_path, train_csv, capsys, k):
+    out = tmp_path / "rule.json"
+    rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--lambda", "0.5", "--crossfit", k])
+    assert rc == cli.EXIT_CONFIG
+    assert f"k_folds must be at least 2, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
+def test_fit_cv_whose_every_cell_fails_on_the_data_is_a_data_error(tmp_path, capsys):
+    # one treated subject: a K = 2 cross-fitting fold of every CV split
+    # holds a single arm, and the propensity ridge keeps the split fits
+    # with no treated subject from failing first
+    d = generate_scenario(ScenarioSpec(2, 200, p=4), 5)
+    train, out = tmp_path / "train.csv", tmp_path / "rule.json"
+    save_csv(Dataset(d.X, np.where(np.arange(d.n) == 0, 1, -1), d.Y), train)
+    rc = cli.main(["fit", "--input", str(train), "--output", str(out), "--lambda", "cv", "--crossfit", "2",
+                   "--ridge", "1"])
+    assert rc == cli.EXIT_DATA
+    assert "110 of 110 cells failed, e.g. DataError: a fold contains a single treatment arm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_cv_lambda_needs_earl(tmp_path, train_csv, capsys):
     out = tmp_path / "rule.json"
     for method in ("owl", "qlearning"):

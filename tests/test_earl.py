@@ -7,7 +7,18 @@ from scipy.optimize import linprog
 
 import earlkit.earl as earl_mod
 from earlkit.baselines import owl_fit
-from earlkit.core import ConfigError, DataError, Dataset, FeatureMap, LinearRule, NumericalError, stream
+from earlkit.core import (
+    ConfigError,
+    ConvergenceError,
+    DataError,
+    Dataset,
+    EarlError,
+    FeatureMap,
+    LinearRule,
+    NumericalError,
+    sgn,
+    stream,
+)
 from earlkit.earl import (
     DEFAULT_LAMBDA_GRID,
     EarlConfig,
@@ -559,9 +570,10 @@ def test_every_problem_design_is_column_major(monkeypatch):
 
 
 @pytest.mark.parametrize("crossfit", [False, True])
-def test_hinge_guard_evaluates_beta_zero_once_per_problem(monkeypatch, crossfit):
-    # the hinge objective at beta = 0 does not depend on lambda, so the
-    # guard evaluates it once per problem, not once per solve
+def test_hinge_guard_evaluates_no_margins_at_beta_zero(monkeypatch, crossfit):
+    # the hinge objective at beta = 0 is mean(|W_1| + |W_-1|) at any
+    # lambda, so the guard reads it from the weights without evaluating
+    # the margins there
     at_zero = []
     real_margins = earl_mod._Problem.margins
 
@@ -574,7 +586,7 @@ def test_hinge_guard_evaluates_beta_zero_once_per_problem(monkeypatch, crossfit)
     d = generate_scenario(ScenarioSpec(2, 200), 3)
     cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, k_folds=2, seed=2)
     sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
-    assert len(at_zero) == len(set(map(id, at_zero))) == cfg.cv_folds * (cfg.k_folds if crossfit else 1)
+    assert at_zero == []
     monkeypatch.undo()
     assert sel.table == _cold_table(d, _cc_spec(), cfg, crossfit)
 
@@ -619,6 +631,47 @@ def test_hinge_line_search_starts_at_the_exact_step(monkeypatch):
         prop = fit_propensity(d, spec.propensity_map, ridge=spec.ridge, clip=spec.clip)
         assert owl_fit(d, prop, EarlConfig(loss="hinge", lam=2.0**-5)).diagnostics["converged"]
     assert calls["margins"] <= 2 * calls["hessian"]
+
+
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
+def test_select_lambda_failure_of_mixed_classes_is_their_common_class(monkeypatch):
+    # 4 of these 200 subjects are treated: in 2 of the 10 CV splits a K = 2
+    # cross-fitting fold holds a single arm, and in the other 8 a fold's
+    # propensity fit separates its one treated subject
+    seen = []
+    real_failure = earl_mod._selection_failure
+    monkeypatch.setattr(earl_mod, "_selection_failure", lambda errors: seen.append(errors) or real_failure(errors))
+    d = generate_scenario(ScenarioSpec(3, 200), 0)
+    spec = NuisanceSpec(FeatureMap.linear(d.p), FeatureMap.from_name("linear*a", d.p))
+    with pytest.raises(EarlError) as info:
+        select_lambda(d, spec, EarlConfig(), crossfit=True)
+    assert type(info.value) is EarlError
+    assert "110 of 110 cells failed, e.g. ConvergenceError: perfect separation" in str(info.value)
+    classes = [type(exc).__name__ for row in seen[0] for exc in row]
+    assert (classes.count("ConvergenceError"), classes.count("DataError")) == (88, 22)
+
+
+@pytest.mark.parametrize(
+    "raised,expected",
+    [
+        ((ConvergenceError, ConvergenceError), ConvergenceError),
+        ((DataError, ConvergenceError), EarlError),
+        ((DataError, NumericalError), NumericalError),
+        ((DataError, np.linalg.LinAlgError), NumericalError),
+    ],
+)
+def test_select_lambda_failure_takes_the_cells_common_class(monkeypatch, raised, expected):
+    # the cells at lambda = 1 raise raised[1], the others raised[0]
+    def fails(prob, config, b=None):
+        raise raised[prob.lam == 1.0]("cell failed")
+
+    monkeypatch.setattr(earl_mod, "_solve", fails)
+    d = generate_scenario(ScenarioSpec(2, 200), 4)
+    cfg = EarlConfig(lambda_grid=(0.25, 1.0), cv_folds=4, seed=1)
+    with pytest.raises(expected) as info:
+        select_lambda(d, _cc_spec(), cfg)
+    assert type(info.value) is expected
+    assert f"e.g. {raised[0].__name__}: cell failed" in str(info.value)
 
 
 def test_select_lambda_rejects_negative_lambda():
@@ -722,7 +775,9 @@ def test_evaluator_equals_separate_formulas(loss, delta):
             b[0] = 1.0 if trial == 18 or delta is None else 1.0 - delta
         phi, dphi, d2phi = _reference_terms(loss, delta)
         s = prob.Z @ b
-        aw, bw, u, v = np.abs(w_pos), np.abs(w_neg), prob.u, prob.v
+        # each instance's label is the sign its weight takes in the objective
+        aw, bw = np.abs(w_pos), np.abs(w_neg)
+        u, v = np.asarray(sgn(w_pos), dtype=float), -np.asarray(sgn(w_neg), dtype=float)
         f = float(np.mean(aw * phi(u * s) + bw * phi(v * s))) + lam * float(b[1:] @ b[1:])
         g = prob.Z.T @ ((aw * dphi(u * s) * u + bw * dphi(v * s) * v) / n)
         g[1:] += 2.0 * lam * b[1:]
