@@ -13,9 +13,17 @@ deterministic summary of how far the two trees agree:
 - tables whose repr is identical;
 - fold cells that are identical, within 1e-12 relative, or further apart,
   with the worst cell;
+- calls whose CV splits took the rank-deficiency ridge fallback of
+  fit_outcome in the same splits on both sides;
 - each call with a cell further apart, with the CV splits on each side
-  whose nuisance fits took the rank-deficiency ridge fallback of
-  fit_outcome, and the number of far cells in splits where no fit did.
+  whose nuisance fits took that fallback, and the number of far cells in
+  splits where no fit did.
+
+A split is counted where select_lambda fits its nuisance models: at
+earlkit.earl._split_fits, or, in trees that predate it, at the
+NuisanceSpec.fit call on the split's training rows. Fallback warnings are
+caught around fit_outcome in every earlkit module that binds it, so the
+fits of a split's cross-fitting folds count toward that split.
 
 It exits 1 if a selected lambda differs or a call fails on one side only.
 
@@ -55,27 +63,47 @@ def _call_id(scenario, n, loss, crossfit):
 
 def emit() -> None:
     """Run the comparison set with the earlkit on sys.path; one JSON line per call."""
+    import earlkit.earl as earl
+    import earlkit.nuisance as nuisance
     from earlkit.core import FeatureMap
     from earlkit.earl import EarlConfig, select_lambda
     from earlkit.nuisance import NuisanceSpec
     from earlkit.sim import ScenarioSpec, generate_scenario
 
-    real_fit = NuisanceSpec.fit
     splits = []  # per CV split, in order: did any of its nuisance fits fall back?
+    real_fit_outcome = nuisance.fit_outcome
 
-    def fit(self, data):
-        # a split's own fit has 9/10 of the call's rows; the cross-fitting
-        # fold fits that follow it, about half of the split's
-        if data.n > n / 2:
-            splits.append(False)
+    def fit_outcome(*args, **kwargs):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                return real_fit(self, data)
+                return real_fit_outcome(*args, **kwargs)
             finally:
                 splits[-1] |= any(FALLBACK in str(w.message) for w in caught)
 
-    NuisanceSpec.fit = fit
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "earlkit"]:
+        for attr, value in list(vars(module).items()):
+            if value is real_fit_outcome:
+                setattr(module, attr, fit_outcome)
+    real_split_fits = getattr(earl, "_split_fits", None)
+    if real_split_fits is not None:
+
+        def split_fits(*args):
+            splits.append(False)
+            return real_split_fits(*args)
+
+        earl._split_fits = split_fits
+    else:
+        real_fit = NuisanceSpec.fit
+
+        def fit(self, data):
+            # a split's own fit has 9/10 of the call's rows; the cross-fitting
+            # fold fits that follow it, about half of the split's
+            if data.n > n / 2:
+                splits.append(False)
+            return real_fit(self, data)
+
+        NuisanceSpec.fit = fit
     for scenario, n, loss, crossfit in _calls():
         data = generate_scenario(ScenarioSpec(scenario, n), 0)
         spec = NuisanceSpec(FeatureMap.linear(data.p), FeatureMap.from_name("linear*a", data.p))
@@ -135,6 +163,7 @@ def compare(old: list[dict], new: list[dict]) -> int:
     cells = {"identical": 0, "within": 0, "larger": 0}
     worst = (0.0, None)
     far, unexplained = [], 0
+    same_fallback = sum(a["fallback_splits"] == b["fallback_splits"] for a, b in zip(old, new))
     for a, b in zip(old, new):
         if "error" in a or "error" in b:
             if "error" in a and "error" in b:
@@ -174,6 +203,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
     print(f"  failed on both sides: {both_failed} (same error: {same_error})")
     print(f"  lambda differs or fails on one side only: {differ}")
     print(f"tables repr-identical: {identical_tables} of {compared}")
+    fell_back = [sum(len(r["fallback_splits"]) for r in side) for side in (old, new)]
+    print(f"identical fallback splits: {same_fallback} of {len(old)} calls ({fell_back[0]} / {fell_back[1]} splits fell back)")
     print(f"fold cells: {sum(cells.values())}")
     print(f"  identical: {cells['identical']}")
     print(f"  within {REL:g} relative: {cells['within']}")

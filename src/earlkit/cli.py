@@ -199,6 +199,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     method = args.method
     if use_cv and method != "earl":
         raise ConfigError("--lambda cv is supported by --method earl only")
+    if k and method != "earl":
+        raise ConfigError("--crossfit is supported by --method earl only")
     selection = None
     per_fold = None
     if method == "earl":

@@ -147,6 +147,12 @@ class Dataset:
         return Dataset(self.X[idx], self.A[idx], self.Y[idx])
 
 
+def _rows(Z: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of the column-major design Z where mask holds, as one
+    column-major copy (Z[mask] would be row-major)."""
+    return np.compress(mask, Z.T, axis=1).T
+
+
 # Feature map terms. Each term is a tuple whose first entry names the kind:
 #   ("1",)        intercept (always first when present)
 #   ("x", j)      raw covariate j (0-based)

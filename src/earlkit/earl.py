@@ -55,11 +55,12 @@ from .core import (
     FeatureMap,
     LinearRule,
     NumericalError,
+    _rows,
     sgn,
     stream,
 )
 from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
+from .nuisance import NuisanceSpec, OutcomeGram, OutcomeModel, PropensityModel, fit_propensity
 from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
@@ -300,12 +301,6 @@ def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
     """The rule design [1, fm(X)]: the column-major design of fm with an
     intercept term in front, filled in one pass."""
     return fm._with_intercept.design(X)
-
-
-def _rows(Z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The rows of the column-major design Z where mask holds, as one
-    column-major copy (Z[mask] would be row-major)."""
-    return np.compress(mask, Z.T, axis=1).T
 
 
 def _rule_map(config: EarlConfig, p: int) -> FeatureMap:
@@ -611,6 +606,18 @@ def _selection_failure(errors: list[list]) -> EarlError:
     return next(c for c in type(failed[0]).__mro__ if all(isinstance(e, c) for e in failed))(msg)
 
 
+def _split_fits(data: Dataset, nuisance: NuisanceSpec, gram: OutcomeGram | None, keep: np.ndarray, train: Dataset):
+    """The DR weights (W_1, W_-1) of a CV split's training rows and of its
+    held rows, both sliced from one dr_weights pass over every row of data,
+    under the split's nuisance models. These are fit on train, the rows of
+    data where keep holds; the outcome model by downdating gram, the
+    outcome Gram of every row of data (None: no outcome model)."""
+    prop = fit_propensity(train, nuisance.propensity_map, ridge=nuisance.ridge, clip=nuisance.clip)
+    out = None if gram is None else gram.fit(train, keep)
+    w = dr_weights(data, prop, out)
+    return tuple(x[keep] for x in w), tuple(x[~keep] for x in w)
+
+
 def select_lambda(
     data: Dataset,
     nuisance: NuisanceSpec,
@@ -626,7 +633,13 @@ def select_lambda(
     cross-fitted AIPW score. With crossfit=True the training problems are
     the training split's K per-fold problems, and the held fold is still
     scored with the one nuisance fit on the whole training split. The rule
-    design is built once for all rows; each split's training problem (its
+    design is built once for all rows, and so is the outcome design with
+    its Gram matrix G = Z'Z and Z'Y: each split's outcome model solves the
+    normal equations downdated by its held rows, (G - Zh'Zh) theta =
+    Z'Y - Zh'Y_h, under fit_outcome's rank rule, and a split that fails the
+    rule is refit by fit_outcome on its training rows. The DR weights of a
+    split's training rows and of its held rows are sliced from one
+    dr_weights pass over every row. Each split's training problem (its
     weights, their checks and its rows of the design) and the held fold's
     weights are built once and shared by every lambda. The grid is walked
     from the largest lambda to the smallest, each solve warm-started from
@@ -657,6 +670,7 @@ def select_lambda(
     if grid[0] < 0:
         raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
     Z = _rule_design(data.X, _rule_map(config, data.p))
+    gram = None if nuisance.outcome_map is None else OutcomeGram(data, nuisance.outcome_map)
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)
     vals = np.full((len(grid), len(folds)), np.nan)
     errors = [[None] * len(folds) for _ in grid]
@@ -665,13 +679,12 @@ def select_lambda(
         keep[hold] = False
         train = data.subset(keep)
         try:
-            models = nuisance.fit(train)
-            w_h = dr_weights(data.subset(hold), *models)
+            w_train, w_h = _split_fits(data, nuisance, gram, keep, train)
             if crossfit:
                 parts, _ = _crossfit_problems(train, nuisance, config, Z=_rows(Z, keep))
                 probs = [prob for *_, prob in parts]
             else:
-                probs = [_build_problem(train, dr_weights(train, *models), config, _rows(Z, keep))[0]]
+                probs = [_build_problem(train, w_train, config, _rows(Z, keep))[0]]
         except (EarlError, np.linalg.LinAlgError) as exc:
             for row in errors:
                 row[j] = exc

@@ -331,6 +331,17 @@ def test_fit_cv_lambda_needs_earl(tmp_path, train_csv, capsys):
         assert not out.exists()
 
 
+def test_fit_crossfit_needs_earl(tmp_path, train_csv, capsys):
+    out = tmp_path / "rule.json"
+    for method in ("owl", "qlearning"):
+        rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--method", method,
+                       "--loss", "hinge", "--crossfit", "2"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--crossfit" in err and "--method earl" in err
+        assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     for name in ("fit", "evaluate", "simulate", "permtest"):
         assert _exit_code([name, "--help"]) == 0

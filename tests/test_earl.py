@@ -29,7 +29,7 @@ from earlkit.earl import (
     select_lambda,
 )
 from earlkit.losses import phi_eval, phi_grad, phi_hess
-from earlkit.nuisance import NuisanceSpec, fit_propensity
+from earlkit.nuisance import NuisanceSpec, OutcomeGram, fit_propensity
 from earlkit.sim import (
     ModelSpec,
     ScenarioSpec,
@@ -38,7 +38,7 @@ from earlkit.sim import (
     true_propensity_model,
     true_value_mc,
 )
-from earlkit.value import value_aipwe
+from earlkit.value import _dr_value
 from earlkit.weights import WeightPair, dr_weights
 
 
@@ -346,21 +346,26 @@ def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
 
 def _cold_table(d, spec, cfg, crossfit=False):
     """select_lambda's table rebuilt from public fits, each started at beta = 0
-    and scored on the held fold with the training split's nuisance models."""
+    and scored on the held fold with the training split's nuisance models.
+    Each split's training and held weights come from select_lambda's own
+    split helper, so the table pins the warm path against cold solves."""
     perm = stream(cfg.seed, 4242).permutation(d.n)
     folds = [np.sort(f) for f in np.array_split(perm, cfg.cv_folds)]
+    gram = OutcomeGram(d, spec.outcome_map)
     table = []
     for lam in sorted(cfg.lambda_grid):
         c = replace(cfg, lam=lam)
         row = []
         for hold in folds:
-            train = d.subset(np.setdiff1d(np.arange(d.n), hold))
-            held = d.subset(hold)
+            keep = np.ones(d.n, dtype=bool)
+            keep[hold] = False
+            train = d.subset(keep)
+            w_train, w_held = earl_mod._split_fits(d, spec, gram, keep, train)
             if crossfit:
                 fit = earl_fit_crossfit(train, spec, c)
             else:
-                fit = earl_fit(train, dr_weights(train, *spec.fit(train)), c)
-            row.append(value_aipwe(held, fit.rule, *spec.fit(train)).estimate)
+                fit = earl_fit(train, w_train, c)
+            row.append(_dr_value(fit.rule.decide_many(d.subset(hold).X), *w_held))
         table.append(
             {
                 "lambda": lam,
@@ -496,13 +501,18 @@ def test_solve_after_a_replaced_point_starts_fresh(loss):
 @pytest.mark.parametrize("crossfit", [False, True])
 def test_select_lambda_fits_nuisances_once_per_split(monkeypatch, crossfit):
     calls = []
-    real_fit = NuisanceSpec.fit
+    real_fit, real_split_fits = NuisanceSpec.fit, earl_mod._split_fits
 
     def counted(self, data):
         calls.append(data.n)
         return real_fit(self, data)
 
+    def counted_split(data, nuisance, gram, keep, train):
+        calls.append(train.n)
+        return real_split_fits(data, nuisance, gram, keep, train)
+
     monkeypatch.setattr(NuisanceSpec, "fit", counted)
+    monkeypatch.setattr(earl_mod, "_split_fits", counted_split)
     d = generate_scenario(ScenarioSpec(2, 200), 4)
     cfg = EarlConfig(lambda_grid=(0.25, 1.0), cv_folds=4, k_folds=3, seed=1)
     select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)

@@ -3,7 +3,9 @@ import pytest
 from scipy.special import expit, logit
 
 from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap
+from earlkit.earl import _partition
 from earlkit.nuisance import (
+    OutcomeGram,
     OutcomeModel,
     PropensityModel,
     _expit,
@@ -12,7 +14,7 @@ from earlkit.nuisance import (
     predict_propensity,
     predict_q,
 )
-from earlkit.sim import ScenarioSpec, generate_scenario, true_propensity_model
+from earlkit.sim import ModelSpec, ScenarioSpec, generate_scenario, true_propensity_model
 
 
 def _balanced_data(n=40, p=2, seed=0):
@@ -203,3 +205,52 @@ def test_predict_q_zero_and_intercept_models():
     for a in (1, -1):
         assert predict_q(zero, [0.1, 0.2], a) == 0.0
         assert predict_q(two, [0.1, 0.2], a) == 2.0
+
+
+def _outcome_map(name, scenario, p):
+    if name == "linear*a":
+        return FeatureMap.from_name(name, p)
+    return ModelSpec(name).nuisance_spec(scenario, p).outcome_map
+
+
+def _split_outcome_fits(scenario, n, name):
+    """Per CV split of select_lambda's default partition: the downdated fit,
+    the direct fit on the training rows and the training rows' design."""
+    d = generate_scenario(ScenarioSpec(scenario, n), 0)
+    fm = _outcome_map(name, scenario, d.p)
+    gram = OutcomeGram(d, fm)
+    for hold in _partition(d.n, 10, 0, 4242):
+        keep = np.ones(d.n, dtype=bool)
+        keep[hold] = False
+        train = d.subset(keep)
+        yield gram.fit(train, keep), fit_outcome(train, fm), fm.design(train.X, train.A)
+
+
+_SPLIT_CASES = [
+    (scenario, n, name) for scenario in (1, 2, 3) for n in (200, 500) for name in ("linear*a", "CC", "II")
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario,n,name", _SPLIT_CASES)
+def test_downdated_split_fit_matches_the_direct_fit(scenario, n, name):
+    for down, direct, _ in _split_outcome_fits(scenario, n, name):
+        assert down.ridge_fallback == direct.ridge_fallback
+        err = np.max(np.abs(down.theta - direct.theta))
+        assert err <= 1e-10 * (1.0 + np.max(np.abs(direct.theta)))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_rank_deficient_split_refits_on_its_own_rows():
+    # scenario 3 treats about 2.5% of subjects: at n=200 no training split
+    # can resolve the ten a*x terms of the linear*a map
+    for down, direct, _ in _split_outcome_fits(3, 200, "linear*a"):
+        assert down.ridge_fallback
+        assert np.array_equal(down.theta, direct.theta)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario,n,name", _SPLIT_CASES)
+def test_outcome_fallback_flags_exactly_the_rank_deficient_designs(scenario, n, name):
+    for _, direct, Z in _split_outcome_fits(scenario, n, name):
+        assert direct.ridge_fallback == (np.linalg.matrix_rank(Z) < Z.shape[1])
