@@ -60,7 +60,7 @@ from .core import (
     stream,
 )
 from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
-from .nuisance import NuisanceSpec, OutcomeGram, OutcomeModel, PropensityModel, fit_propensity
+from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _OutcomeGram, fit_propensity
 from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
@@ -606,16 +606,18 @@ def _selection_failure(errors: list[list]) -> EarlError:
     return next(c for c in type(failed[0]).__mro__ if all(isinstance(e, c) for e in failed))(msg)
 
 
-def _split_fits(data: Dataset, nuisance: NuisanceSpec, gram: OutcomeGram | None, keep: np.ndarray, train: Dataset):
-    """The DR weights (W_1, W_-1) of a CV split's training rows and of its
-    held rows, both sliced from one dr_weights pass over every row of data,
-    under the split's nuisance models. These are fit on train, the rows of
-    data where keep holds; the outcome model by downdating gram, the
-    outcome Gram of every row of data (None: no outcome model)."""
+def _split_fits(data: Dataset, nuisance: NuisanceSpec, gram: _OutcomeGram | None, keep: np.ndarray):
+    """A CV split's training rows, the rows of data where keep holds, with
+    the DR weights (W_1, W_-1) of those rows and of the held rows, both
+    sliced from one dr_weights pass over every row of data under the
+    split's nuisance models. These are fit on the training rows; the
+    outcome model by downdating gram, the outcome Gram of every row of
+    data (None: no outcome model)."""
+    train = data.subset(keep)
     prop = fit_propensity(train, nuisance.propensity_map, ridge=nuisance.ridge, clip=nuisance.clip)
-    out = None if gram is None else gram.fit(train, keep)
+    out = None if gram is None else gram.fit(keep)
     w = dr_weights(data, prop, out)
-    return tuple(x[keep] for x in w), tuple(x[~keep] for x in w)
+    return train, tuple(x[keep] for x in w), tuple(x[~keep] for x in w)
 
 
 def select_lambda(
@@ -670,16 +672,15 @@ def select_lambda(
     if grid[0] < 0:
         raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
     Z = _rule_design(data.X, _rule_map(config, data.p))
-    gram = None if nuisance.outcome_map is None else OutcomeGram(data, nuisance.outcome_map)
+    gram = None if nuisance.outcome_map is None else _OutcomeGram(data, nuisance.outcome_map)
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)
     vals = np.full((len(grid), len(folds)), np.nan)
     errors = [[None] * len(folds) for _ in grid]
     for j, hold in enumerate(folds):
         keep = np.ones(data.n, dtype=bool)
         keep[hold] = False
-        train = data.subset(keep)
         try:
-            w_train, w_h = _split_fits(data, nuisance, gram, keep, train)
+            train, w_train, w_h = _split_fits(data, nuisance, gram, keep)
             if crossfit:
                 parts, _ = _crossfit_problems(train, nuisance, config, Z=_rows(Z, keep))
                 probs = [prob for *_, prob in parts]

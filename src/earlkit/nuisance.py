@@ -5,12 +5,14 @@ The propensity score pi(a; x) is fit by iteratively reweighted least squares
 decreases). The Q-function is fit by ordinary least squares: the normal
 equations Z'Z theta = Z'Y solved by the Cholesky factor L of G = Z'Z. One
 rank rule serves every such solve: G counts as singular when its Cholesky
-factorization fails or min(diag L)^2 / max(diag G) < 1e-10, and a singular
-design takes an automatic minimal-ridge fallback, (G + 1e-8 I) theta = Z'Y.
-An OutcomeGram holds G and Z'Y over every row of a dataset, so the fit on
-any subset of its rows is a downdate of the normal equations (Golub & Van
-Loan, Matrix Computations, 4th ed., section 6.5), with no copy of the
-subset's design.
+factorization fails or min_j L_jj^2 / G_jj < 1e-10, and a
+singular design takes an automatic minimal-ridge fallback,
+(G + 1e-8 I) theta = Z'Y. L_jj^2 / G_jj is the share of column j's squared
+norm left once the columns before it are projected out, so rescaling a
+column leaves the rule unchanged. An _OutcomeGram holds G and Z'Y over
+every row of a dataset, so the fit on any subset of its rows is a downdate
+of the normal equations (Golub & Van Loan, Matrix Computations, 4th ed.,
+section 6.5), with no copy of the subset's design.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "PropensityModel",
     "OutcomeModel",
     "NuisanceSpec",
-    "OutcomeGram",
     "fit_propensity",
     "predict_propensity",
     "fit_outcome",
@@ -47,10 +48,12 @@ MAX_IRLS_ITER = 100
 # saturated to machine precision; with no ridge that signals separation.
 SEPARATION_COEF = 30.0
 # the rank rule of the outcome normal equations: G is singular when its
-# Cholesky factor L fails or min(diag L)^2 / max(diag G) falls below this.
-# Over 1080 CV-split designs (scenarios 1-3, n in {200, 500, 2500}, the
-# linear*a, CC and II outcome maps, 4 seeds) the full-rank ones had ratios
-# >= 1.6e-5, and the factorization failed on every rank-deficient one.
+# Cholesky factor L fails or min_j L_jj^2 / G_jj falls below this. Over the
+# 1080 CV splits of scenarios 1-3, n in {200, 500, 2500}, the linear*a, CC
+# and II outcome maps and 4 data seeds, both the direct and the downdated G
+# of the full-rank ones had ratios >= 7.4e-5, and the factorization failed
+# on every rank-deficient one; with covariate 0 scaled by 1e-6 or 1e6 the
+# same held. Two collinear columns give ratios near 1e-15.
 RANK_TOL = 1e-10
 
 
@@ -258,13 +261,14 @@ def predict_q(model: OutcomeModel, x, a: int) -> float:
 
 def _cholesky_solve(G: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """theta solving G theta = r through the Cholesky factor L of G, or None
-    where G fails the rank rule: no factor, or min(diag L)^2 / max(diag G)
-    below RANK_TOL."""
+    where G fails the rank rule: no factor, or min_j L_jj^2 / G_jj below
+    RANK_TOL."""
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    if np.min(np.diagonal(L)) ** 2 / np.max(np.diagonal(G)) < RANK_TOL:
+    # a factor exists only where every G_jj > 0 (a zero column has no pivot)
+    if np.min(np.diagonal(L) ** 2 / np.diagonal(G)) < RANK_TOL:
         return None
     return np.linalg.solve(L.T, np.linalg.solve(L, r))
 
@@ -288,9 +292,9 @@ def fit_outcome(data: Dataset, feature_map: FeatureMap) -> OutcomeModel:
 
     Solves the normal equations G theta = Z'Y, G = Z'Z, by the Cholesky
     factor L of G. A rank-deficient design, one whose factorization fails
-    or has min(diag L)^2 / max(diag G) < 1e-10, warns, triggers an
-    automatic minimal ridge (1e-8 on the diagonal of G) and sets
-    ridge_fallback on the returned model.
+    or has min_j L_jj^2 / G_jj < 1e-10 (a rule that rescaling a column
+    leaves unchanged), warns, triggers an automatic minimal ridge (1e-8 on
+    the diagonal of G) and sets ridge_fallback on the returned model.
     """
     Z = feature_map.design(data.X, data.A)
     G, r = Z.T @ Z, Z.T @ data.Y
@@ -306,18 +310,17 @@ def fit_outcome(data: Dataset, feature_map: FeatureMap) -> OutcomeModel:
     return _outcome_model(feature_map, theta, Z @ theta, data.Y, fallback)
 
 
-class OutcomeGram:
+class _OutcomeGram:
     """The outcome design Z of every row of a dataset, with G = Z'Z and
     r = Z'Y, from which the least-squares fit on a subset of the rows is a
     downdate.
 
-    fit(train, keep) fits on the rows where keep holds (train is that
-    subset of the dataset): it solves (G - Zh'Zh) theta = r - Zh'Y_h, where
-    Zh is one column-major copy of the other rows, under fit_outcome's rank
-    rule. A downdated G that fails the rule is refit by fit_outcome(train):
-    the 1e-8 ridge would amplify the downdate's rounding, so the fallback
-    solves the training rows' own G. The 10x max |Y| check reads the
-    training rows.
+    fit(keep) fits on the rows where keep holds: it solves
+    (G - Zh'Zh) theta = r - Zh'Y_h, where Zh is one column-major copy of the
+    other rows, under fit_outcome's rank rule. A downdated G that fails the
+    rule is refit by fit_outcome on the rows where keep holds: the 1e-8
+    ridge would amplify the downdate's rounding, so the fallback solves
+    those rows' own G. The 10x max |Y| check reads the same rows.
     """
 
     def __init__(self, data: Dataset, feature_map: FeatureMap):
@@ -327,13 +330,13 @@ class OutcomeGram:
         self.G = self.Z.T @ self.Z
         self.r = self.Z.T @ data.Y
 
-    def fit(self, train: Dataset, keep: np.ndarray) -> OutcomeModel:
+    def fit(self, keep: np.ndarray) -> OutcomeModel:
         hold = ~keep
         Zh = _rows(self.Z, hold)
         theta = _cholesky_solve(self.G - Zh.T @ Zh, self.r - Zh.T @ self.data.Y[hold])
         if theta is None:
-            return fit_outcome(train, self.feature_map)
-        return _outcome_model(self.feature_map, theta, (self.Z @ theta)[keep], train.Y, False)
+            return fit_outcome(self.data.subset(keep), self.feature_map)
+        return _outcome_model(self.feature_map, theta, (self.Z @ theta)[keep], self.data.Y[keep], False)
 
 
 @dataclass(frozen=True)

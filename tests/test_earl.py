@@ -29,7 +29,7 @@ from earlkit.earl import (
     select_lambda,
 )
 from earlkit.losses import phi_eval, phi_grad, phi_hess
-from earlkit.nuisance import NuisanceSpec, OutcomeGram, fit_propensity
+from earlkit.nuisance import NuisanceSpec, _OutcomeGram, fit_propensity
 from earlkit.sim import (
     ModelSpec,
     ScenarioSpec,
@@ -38,7 +38,7 @@ from earlkit.sim import (
     true_propensity_model,
     true_value_mc,
 )
-from earlkit.value import _dr_value
+from earlkit.value import _dr_value, value_aipwe
 from earlkit.weights import WeightPair, dr_weights
 
 
@@ -344,14 +344,16 @@ def test_select_lambda_records_numerical_failure_as_none(monkeypatch):
     assert sel.lambda_ == 0.5
 
 
-def _cold_table(d, spec, cfg, crossfit=False):
-    """select_lambda's table rebuilt from public fits, each started at beta = 0
-    and scored on the held fold with the training split's nuisance models.
+def _cold_table(d, spec, cfg, crossfit=False, public=False):
+    """select_lambda's table rebuilt from fits each started at beta = 0 and
+    scored on the held fold with the training split's nuisance models.
     Each split's training and held weights come from select_lambda's own
-    split helper, so the table pins the warm path against cold solves."""
+    split helper, so the table pins the warm path against cold solves; with
+    public=True they come instead from spec.fit(train) with dr_weights and
+    value_aipwe, which checks that helper against the public functions."""
     perm = stream(cfg.seed, 4242).permutation(d.n)
     folds = [np.sort(f) for f in np.array_split(perm, cfg.cv_folds)]
-    gram = OutcomeGram(d, spec.outcome_map)
+    gram = _OutcomeGram(d, spec.outcome_map)
     table = []
     for lam in sorted(cfg.lambda_grid):
         c = replace(cfg, lam=lam)
@@ -359,13 +361,21 @@ def _cold_table(d, spec, cfg, crossfit=False):
         for hold in folds:
             keep = np.ones(d.n, dtype=bool)
             keep[hold] = False
-            train = d.subset(keep)
-            w_train, w_held = earl_mod._split_fits(d, spec, gram, keep, train)
+            held = d.subset(hold)
+            if public:
+                train = d.subset(keep)
+                models = spec.fit(train)
+                w_train = dr_weights(train, *models)
+            else:
+                train, w_train, w_held = earl_mod._split_fits(d, spec, gram, keep)
             if crossfit:
                 fit = earl_fit_crossfit(train, spec, c)
             else:
                 fit = earl_fit(train, w_train, c)
-            row.append(_dr_value(fit.rule.decide_many(d.subset(hold).X), *w_held))
+            if public:
+                row.append(value_aipwe(held, fit.rule, *models).estimate)
+            else:
+                row.append(_dr_value(fit.rule.decide_many(held.X), *w_held))
         table.append(
             {
                 "lambda": lam,
@@ -388,6 +398,24 @@ def test_select_lambda_path_matches_cold_fits(loss, crossfit):
         cfg = EarlConfig(loss=loss, lambda_grid=grid, k_folds=2, seed=seed)
         sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
         assert sel.table == _cold_table(d, _cc_spec(), cfg, crossfit)
+
+
+@pytest.mark.parametrize(
+    "loss,crossfit",
+    [(loss, False) for loss in ("hinge", "exp", "logistic", "sqhinge")] + [("logistic", True), ("hinge", True)],
+)
+def test_select_lambda_path_matches_public_cold_fits(loss, crossfit):
+    # the downdated outcome fits and one-pass weights move a fold value by
+    # rounding only, against nuisance fits built from public functions
+    grid = (2.0**-5, 2.0**-2, 2.0, 2.0**5)
+    for seed in range(3):
+        d = generate_scenario(ScenarioSpec(2, 300), seed)
+        cfg = EarlConfig(loss=loss, lambda_grid=grid, k_folds=2, seed=seed)
+        sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+        for row, cold in zip(sel.table, _cold_table(d, _cc_spec(), cfg, crossfit, public=True)):
+            assert row["lambda"] == cold["lambda"] and row["fold_errors"] == cold["fold_errors"]
+            for a, b in zip(row["fold_values"], cold["fold_values"]):
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 def test_select_lambda_restarts_from_zero_after_failed_cell(monkeypatch):
@@ -507,9 +535,9 @@ def test_select_lambda_fits_nuisances_once_per_split(monkeypatch, crossfit):
         calls.append(data.n)
         return real_fit(self, data)
 
-    def counted_split(data, nuisance, gram, keep, train):
-        calls.append(train.n)
-        return real_split_fits(data, nuisance, gram, keep, train)
+    def counted_split(data, nuisance, gram, keep):
+        calls.append(int(keep.sum()))
+        return real_split_fits(data, nuisance, gram, keep)
 
     monkeypatch.setattr(NuisanceSpec, "fit", counted)
     monkeypatch.setattr(earl_mod, "_split_fits", counted_split)

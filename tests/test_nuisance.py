@@ -5,10 +5,10 @@ from scipy.special import expit, logit
 from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap
 from earlkit.earl import _partition
 from earlkit.nuisance import (
-    OutcomeGram,
     OutcomeModel,
     PropensityModel,
     _expit,
+    _OutcomeGram,
     fit_outcome,
     fit_propensity,
     predict_propensity,
@@ -218,12 +218,12 @@ def _split_outcome_fits(scenario, n, name):
     the direct fit on the training rows and the training rows' design."""
     d = generate_scenario(ScenarioSpec(scenario, n), 0)
     fm = _outcome_map(name, scenario, d.p)
-    gram = OutcomeGram(d, fm)
+    gram = _OutcomeGram(d, fm)
     for hold in _partition(d.n, 10, 0, 4242):
         keep = np.ones(d.n, dtype=bool)
         keep[hold] = False
         train = d.subset(keep)
-        yield gram.fit(train, keep), fit_outcome(train, fm), fm.design(train.X, train.A)
+        yield gram.fit(keep), fit_outcome(train, fm), fm.design(train.X, train.A)
 
 
 _SPLIT_CASES = [
@@ -254,3 +254,26 @@ def test_rank_deficient_split_refits_on_its_own_rows():
 def test_outcome_fallback_flags_exactly_the_rank_deficient_designs(scenario, n, name):
     for _, direct, Z in _split_outcome_fits(scenario, n, name):
         assert direct.ridge_fallback == (np.linalg.matrix_rank(Z) < Z.shape[1])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_outcome_rank_rule_ignores_covariate_scale(scale):
+    # a covariate in other units (a concentration near 1e-6, an income near
+    # 1e6) rescales its columns of the design and their coefficients only
+    d = generate_scenario(ScenarioSpec(2, 200), 0)
+    X = d.X.copy()
+    X[:, 0] *= scale
+    scaled = Dataset(X, d.A, d.Y)
+    fm = FeatureMap.from_name("linear*a", d.p)
+    Z, Zs = fm.design(d.X, d.A), fm.design(X, d.A)
+    col = np.linalg.norm(Zs, axis=0) / np.linalg.norm(Z, axis=0)
+    gram, gram_s = _OutcomeGram(d, fm), _OutcomeGram(scaled, fm)
+    fits = [(fit_outcome(d, fm), fit_outcome(scaled, fm))]
+    for hold in _partition(d.n, 10, 0, 4242):
+        keep = np.ones(d.n, dtype=bool)
+        keep[hold] = False
+        fits.append((gram.fit(keep), gram_s.fit(keep)))
+    for unit, other in fits:
+        assert not unit.ridge_fallback and not other.ridge_fallback
+        err = np.max(np.abs(other.theta * col - unit.theta))
+        assert err <= 1e-10 * (1.0 + np.max(np.abs(unit.theta)))
