@@ -13,17 +13,18 @@ deterministic summary of how far the two trees agree:
 - tables whose repr is identical;
 - fold cells that are identical, within 1e-12 relative, or further apart,
   with the worst cell;
-- calls whose CV splits took the rank-deficiency ridge fallback of
-  fit_outcome in the same splits on both sides;
+- calls whose CV splits took the outcome fit's rank-deficiency ridge
+  fallback in the same splits on both sides;
 - each call with a cell further apart, with the CV splits on each side
   whose nuisance fits took that fallback, and the number of far cells in
   splits where no fit did.
 
-A split is counted where select_lambda fits its nuisance models: at
+A split starts where select_lambda fits its nuisance models: at
 earlkit.earl._split_fits, or, in trees that predate it, at the
-NuisanceSpec.fit call on the split's training rows. Fallback warnings are
-caught around fit_outcome in every earlkit module that binds it, so the
-fits of a split's cross-fitting folds count toward that split.
+NuisanceSpec.fit call on the split's training rows. Each call's warnings
+are recorded once, in order, and each rank-deficiency warning goes to the
+split in progress, wherever it was raised, so the fits of a split's
+cross-fitting folds count toward that split.
 
 It exits 1 if a selected lambda differs or a call fails on one side only.
 
@@ -36,6 +37,7 @@ propensity, a linear*a outcome model), the default lambda grid, data seed
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -64,32 +66,19 @@ def _call_id(scenario, n, loss, crossfit):
 def emit() -> None:
     """Run the comparison set with the earlkit on sys.path; one JSON line per call."""
     import earlkit.earl as earl
-    import earlkit.nuisance as nuisance
     from earlkit.core import FeatureMap
     from earlkit.earl import EarlConfig, select_lambda
     from earlkit.nuisance import NuisanceSpec
     from earlkit.sim import ScenarioSpec, generate_scenario
 
-    splits = []  # per CV split, in order: did any of its nuisance fits fall back?
-    real_fit_outcome = nuisance.fit_outcome
-
-    def fit_outcome(*args, **kwargs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                return real_fit_outcome(*args, **kwargs)
-            finally:
-                splits[-1] |= any(FALLBACK in str(w.message) for w in caught)
-
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "earlkit"]:
-        for attr, value in list(vars(module).items()):
-            if value is real_fit_outcome:
-                setattr(module, attr, fit_outcome)
+    # per CV split, in order: how many of the call's warnings, the list log
+    # recorded around each call below, came before the split started
+    starts = []
     real_split_fits = getattr(earl, "_split_fits", None)
     if real_split_fits is not None:
 
         def split_fits(*args):
-            splits.append(False)
+            starts.append(len(log))
             return real_split_fits(*args)
 
         earl._split_fits = split_fits
@@ -100,7 +89,7 @@ def emit() -> None:
             # a split's own fit has 9/10 of the call's rows; the cross-fitting
             # fold fits that follow it, about half of the split's
             if data.n > n / 2:
-                splits.append(False)
+                starts.append(len(log))
             return real_fit(self, data)
 
         NuisanceSpec.fit = fit
@@ -108,9 +97,9 @@ def emit() -> None:
         data = generate_scenario(ScenarioSpec(scenario, n), 0)
         spec = NuisanceSpec(FeatureMap.linear(data.p), FeatureMap.from_name("linear*a", data.p))
         record = {"id": _call_id(scenario, n, loss, crossfit)}
-        splits.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        starts.clear()
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
             try:
                 sel = select_lambda(data, spec, EarlConfig(loss=loss, seed=0), crossfit=crossfit)
             except Exception as exc:  # a failure is compared, not raised
@@ -119,7 +108,11 @@ def emit() -> None:
                 record["lambda"] = sel.lambda_
                 record["table"] = repr(sel.table)
                 record["cells"] = [row["fold_values"] for row in sel.table]
-        record["fallback_splits"] = [j for j, fell_back in enumerate(splits) if fell_back]
+        # each rank-deficiency warning belongs to the split in progress
+        fell_back = {
+            bisect.bisect_right(starts, i) - 1 for i, w in enumerate(log) if FALLBACK in str(w.message)
+        }
+        record["fallback_splits"] = sorted(fell_back - {-1})
         print(json.dumps(record), flush=True)
 
 

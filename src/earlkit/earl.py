@@ -106,15 +106,19 @@ class EarlConfig:
 
     def __post_init__(self):
         get_loss(self.loss)
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
-        if len(self.lambda_grid) == 0:
+        grid = tuple(float(v) for v in self.lambda_grid)
+        if len(grid) == 0:
             raise ConfigError("lambda_grid must be nonempty")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        for v in grid:
+            if not (np.isfinite(v) and v >= 0):
+                raise ConfigError(f"lambda_grid values must be finite and nonnegative, got {v}")
+        object.__setattr__(self, "lambda_grid", grid)
 
     def rule_map(self, p: int) -> FeatureMap:
         return self.feature_map if self.feature_map is not None else FeatureMap.linear(p, intercept=False)
@@ -639,7 +643,7 @@ def select_lambda(
     its Gram matrix G = Z'Z and Z'Y: each split's outcome model solves the
     normal equations downdated by its held rows, (G - Zh'Zh) theta =
     Z'Y - Zh'Y_h, under fit_outcome's rank rule, and a split that fails the
-    rule is refit by fit_outcome on its training rows. The DR weights of a
+    rule is refit on its training rows' own G and Z'Y. The DR weights of a
     split's training rows and of its held rows are sliced from one
     dr_weights pass over every row. Each split's training problem (its
     weights, their checks and its rows of the design) and the held fold's
@@ -669,8 +673,6 @@ def select_lambda(
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
         raise DataError(f"need n >= cv_folds, got n={data.n}, cv_folds={config.cv_folds}")
-    if grid[0] < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {grid[0]}")
     Z = _rule_design(data.X, _rule_map(config, data.p))
     gram = None if nuisance.outcome_map is None else _OutcomeGram(data, nuisance.outcome_map)
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)

@@ -12,7 +12,8 @@ norm left once the columns before it are projected out, so rescaling a
 column leaves the rule unchanged. An _OutcomeGram holds G and Z'Y over
 every row of a dataset, so the fit on any subset of its rows is a downdate
 of the normal equations (Golub & Van Loan, Matrix Computations, 4th ed.,
-section 6.5), with no copy of the subset's design.
+section 6.5), with no copy of the subset's design; fit_outcome is its fit
+with no row held out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConfigError,
     ConvergenceError,
     Dataset,
     DomainError,
@@ -273,20 +275,6 @@ def _cholesky_solve(G: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(L.T, np.linalg.solve(L, r))
 
 
-def _outcome_model(feature_map: FeatureMap, theta, fitted, y, fallback: bool) -> OutcomeModel:
-    """The fitted model, with a warning where the fitted values (on the
-    fit's rows, whose outcomes are y) exceed 10x max |Y|."""
-    fitted_max = float(np.max(np.abs(fitted)))
-    y_max = float(np.max(np.abs(y)))
-    if y_max > 0 and fitted_max > 10.0 * y_max:
-        warnings.warn(
-            f"fitted |Q| up to {fitted_max:.3g} exceeds 10x max |Y| = {10 * y_max:.3g}; "
-            "outcome predictions may be poorly bounded",
-            stacklevel=3,
-        )
-    return OutcomeModel(feature_map=feature_map, theta=theta, ridge_fallback=fallback)
-
-
 def fit_outcome(data: Dataset, feature_map: FeatureMap) -> OutcomeModel:
     """Least-squares fit of Y on features(x, a).
 
@@ -296,18 +284,7 @@ def fit_outcome(data: Dataset, feature_map: FeatureMap) -> OutcomeModel:
     leaves unchanged), warns, triggers an automatic minimal ridge (1e-8 on
     the diagonal of G) and sets ridge_fallback on the returned model.
     """
-    Z = feature_map.design(data.X, data.A)
-    G, r = Z.T @ Z, Z.T @ data.Y
-    theta = _cholesky_solve(G, r)
-    fallback = theta is None
-    if fallback:
-        warnings.warn(
-            "outcome design is rank deficient; using a 1e-8 ridge fallback",
-            stacklevel=2,
-        )
-        G[np.diag_indices(G.shape[0])] += 1e-8
-        theta = np.linalg.solve(G, r)
-    return _outcome_model(feature_map, theta, Z @ theta, data.Y, fallback)
+    return _OutcomeGram(data, feature_map).fit(np.ones(data.n, dtype=bool))
 
 
 class _OutcomeGram:
@@ -317,10 +294,12 @@ class _OutcomeGram:
 
     fit(keep) fits on the rows where keep holds: it solves
     (G - Zh'Zh) theta = r - Zh'Y_h, where Zh is one column-major copy of the
-    other rows, under fit_outcome's rank rule. A downdated G that fails the
-    rule is refit by fit_outcome on the rows where keep holds: the 1e-8
-    ridge would amplify the downdate's rounding, so the fallback solves
-    those rows' own G. The 10x max |Y| check reads the same rows.
+    other rows, under the rank rule; with no row held out this is G itself.
+    A downdated G that fails the rule is refit on the kept rows' own G and
+    Z'Y, formed from their rows of Z: the 1e-8 ridge would amplify the
+    downdate's rounding. Where that G fails the rule too, the fit warns and
+    solves it with the 1e-8 ridge. A warning also flags fitted values on the
+    kept rows beyond 10x their max |Y|.
     """
 
     def __init__(self, data: Dataset, feature_map: FeatureMap):
@@ -332,24 +311,52 @@ class _OutcomeGram:
 
     def fit(self, keep: np.ndarray) -> OutcomeModel:
         hold = ~keep
-        Zh = _rows(self.Z, hold)
+        Zh, y = _rows(self.Z, hold), self.data.Y[keep]
         theta = _cholesky_solve(self.G - Zh.T @ Zh, self.r - Zh.T @ self.data.Y[hold])
         if theta is None:
-            return fit_outcome(self.data.subset(keep), self.feature_map)
-        return _outcome_model(self.feature_map, theta, (self.Z @ theta)[keep], self.data.Y[keep], False)
+            Zk = _rows(self.Z, keep)
+            G, r = Zk.T @ Zk, Zk.T @ y
+            theta = _cholesky_solve(G, r)
+        fallback = theta is None
+        if fallback:
+            warnings.warn(
+                "outcome design is rank deficient; using a 1e-8 ridge fallback",
+                stacklevel=3,
+            )
+            G[np.diag_indices(G.shape[0])] += 1e-8
+            theta = np.linalg.solve(G, r)
+        fitted_max = float(np.max(np.abs((self.Z @ theta)[keep])))
+        y_max = float(np.max(np.abs(y)))
+        if y_max > 0 and fitted_max > 10.0 * y_max:
+            warnings.warn(
+                f"fitted |Q| up to {fitted_max:.3g} exceeds 10x max |Y| = {10 * y_max:.3g}; "
+                "outcome predictions may be poorly bounded",
+                stacklevel=3,
+            )
+        return OutcomeModel(feature_map=self.feature_map, theta=theta, ridge_fallback=fallback)
 
 
 @dataclass(frozen=True)
 class NuisanceSpec:
     """Recipe for fitting the two nuisance models on a dataset.
 
-    outcome_map None means no outcome model (Q-hat identically zero).
+    outcome_map None means no outcome model (Q-hat identically zero). A
+    ridge that is not finite and nonnegative, or clip bounds outside
+    0 < lo <= hi < 1, is a ConfigError.
     """
 
     propensity_map: FeatureMap
     outcome_map: FeatureMap | None
     ridge: float = 0.0
     clip: tuple[float, float] = (0.01, 0.99)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        try:
+            _check_clip(self.clip)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
     def fit(self, data: Dataset) -> tuple[PropensityModel, OutcomeModel | None]:
         prop = fit_propensity(data, self.propensity_map, ridge=self.ridge, clip=self.clip)

@@ -264,7 +264,10 @@ def run_experiment(
     thread count. Run threads > 1 with OPENBLAS_NUM_THREADS=1 (or the
     equivalent for the BLAS in use): the workers otherwise stack on BLAS's
     own threads, which made a default search at n=500 take 1.6 s instead
-    of 0.055 s on a busy 2-vCPU host. A failing fit yields a record with a
+    of 0.055 s on a busy 2-vCPU host. Even so, threads > 1 is no faster
+    there: a record's small-array numpy work holds the GIL, and 4
+    replicates of scenarios 2-3 x CC/II x five methods at n=500 took 9.2 s
+    on one thread and 13.1 s on two. A failing fit yields a record with a
     NaN value and the error message; the run continues.
     """
     scenarios = [int(s) for s in scenarios]
@@ -278,6 +281,10 @@ def run_experiment(
             raise ConfigError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
     if select not in ("cv", "fixed"):
         raise ConfigError(f"select must be 'cv' or 'fixed', got {select!r}")
+    if validation_draws < 1 or threads < 1:
+        raise ConfigError(
+            f"validation_draws and threads must be at least 1, got {validation_draws} and {threads}"
+        )
     earl_cfg = earl_config if earl_config is not None else EarlConfig(lam=DEFAULT_LAMBDA)
     search_cfg = search_config if search_config is not None else SearchConfig()
     validation = {

@@ -342,6 +342,50 @@ def test_fit_crossfit_needs_earl(tmp_path, train_csv, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"],
+    ["--lambda", "inf"],
+    ["--lambda", "cv", "--lambda-grid", "0.5,nan"],
+    ["--lambda", "cv", "--lambda-grid", "inf,0.5"],
+])
+def test_fit_rejects_a_lambda_that_is_not_finite_and_nonnegative(tmp_path, train_csv, capsys, flags):
+    out = tmp_path / "rule.json"
+    rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--cv-folds", "4"] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,fragment", [
+    (["--ridge", "-1"], "ridge"),
+    (["--ridge", "nan"], "ridge"),
+    (["--clip-lo", "0.7", "--clip-hi", "0.2"], "clip"),
+    (["--clip-lo", "0"], "clip"),
+    (["--clip-hi", "1"], "clip"),
+])
+def test_fit_rejects_an_out_of_range_propensity_setting(tmp_path, train_csv, capsys, flags, fragment):
+    out = tmp_path / "rule.json"
+    rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--lambda", "0.5"] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--validation-draws", "0"],
+    ["--validation-draws", "-5"],
+    ["--threads", "0"],
+    ["--threads", "-3"],
+])
+def test_simulate_rejects_fewer_than_one_draw_or_thread(tmp_path, capsys, flags):
+    out = tmp_path / "s.csv"
+    rc = cli.main(["simulate", "--output", str(out), "--methods", "qlearning", "--n-grid", "120",
+                   "--replicates", "1", "--validation-draws", "100", "--select", "fixed"] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     for name in ("fit", "evaluate", "simulate", "permtest"):
         assert _exit_code([name, "--help"]) == 0

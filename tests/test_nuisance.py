@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
@@ -215,7 +217,8 @@ def _outcome_map(name, scenario, p):
 
 def _split_outcome_fits(scenario, n, name):
     """Per CV split of select_lambda's default partition: the downdated fit,
-    the direct fit on the training rows and the training rows' design."""
+    the direct fit on the training rows, the training rows' design and the
+    messages of the warnings the downdated fit raised."""
     d = generate_scenario(ScenarioSpec(scenario, n), 0)
     fm = _outcome_map(name, scenario, d.p)
     gram = _OutcomeGram(d, fm)
@@ -223,7 +226,11 @@ def _split_outcome_fits(scenario, n, name):
         keep = np.ones(d.n, dtype=bool)
         keep[hold] = False
         train = d.subset(keep)
-        yield gram.fit(keep), fit_outcome(train, fm), fm.design(train.X, train.A)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            down = gram.fit(keep)
+        messages = [str(w.message) for w in caught]
+        yield down, fit_outcome(train, fm), fm.design(train.X, train.A), messages
 
 
 _SPLIT_CASES = [
@@ -234,7 +241,7 @@ _SPLIT_CASES = [
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario,n,name", _SPLIT_CASES)
 def test_downdated_split_fit_matches_the_direct_fit(scenario, n, name):
-    for down, direct, _ in _split_outcome_fits(scenario, n, name):
+    for down, direct, *_ in _split_outcome_fits(scenario, n, name):
         assert down.ridge_fallback == direct.ridge_fallback
         err = np.max(np.abs(down.theta - direct.theta))
         assert err <= 1e-10 * (1.0 + np.max(np.abs(direct.theta)))
@@ -242,17 +249,28 @@ def test_downdated_split_fit_matches_the_direct_fit(scenario, n, name):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_rank_deficient_split_refits_on_its_own_rows():
+    # a split whose training rows cannot resolve the map is refit on their
+    # own G, exactly as fit_outcome fits them, and warns once
+    fell_back = {}
+    for case in _SPLIT_CASES:
+        for down, direct, _, caught in _split_outcome_fits(*case):
+            rank_warnings = sum("rank deficient" in m for m in caught)
+            assert rank_warnings == down.ridge_fallback
+            if down.ridge_fallback or direct.ridge_fallback:
+                assert down.ridge_fallback and direct.ridge_fallback
+                assert np.array_equal(down.theta, direct.theta)
+                fell_back[case] = fell_back.get(case, 0) + 1
     # scenario 3 treats about 2.5% of subjects: at n=200 no training split
     # can resolve the ten a*x terms of the linear*a map
-    for down, direct, _ in _split_outcome_fits(3, 200, "linear*a"):
-        assert down.ridge_fallback
-        assert np.array_equal(down.theta, direct.theta)
+    assert fell_back == {
+        (3, 200, "linear*a"): 10, (3, 200, "II"): 10, (3, 500, "linear*a"): 2, (3, 500, "II"): 2
+    }
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario,n,name", _SPLIT_CASES)
 def test_outcome_fallback_flags_exactly_the_rank_deficient_designs(scenario, n, name):
-    for _, direct, Z in _split_outcome_fits(scenario, n, name):
+    for _, direct, Z, _ in _split_outcome_fits(scenario, n, name):
         assert direct.ridge_fallback == (np.linalg.matrix_rank(Z) < Z.shape[1])
 
 

@@ -177,6 +177,17 @@ def test_run_experiment_rejects_unknown_select():
         run_experiment([2], ["CC"], ["qlearning"], [100], 1, select="CV")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"validation_draws": 0},
+    {"validation_draws": -5},
+    {"threads": 0},
+    {"threads": -3},
+])
+def test_run_experiment_rejects_fewer_than_one_draw_or_thread(kwargs):
+    with pytest.raises(ConfigError, match="at least 1"):
+        run_experiment([2], ["CC"], ["qlearning"], [100], 1, select="fixed", **kwargs)
+
+
 def test_results_csv_schema(tmp_path):
     res = run_experiment(
         scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100],
