@@ -34,7 +34,7 @@ from .core import (
 )
 from .earl import DEFAULT_LAMBDA_GRID, EarlConfig, fit_earl_pipeline
 from .inference import DEFAULT_PERMUTATIONS, permutation_report
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, fit_propensity
+from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
 from .sim import DEFAULT_LAMBDA, run_experiment, write_results_csv
 from .value import value_aipwe, value_ipwe, value_ipwe_normalized
 
@@ -212,18 +212,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         rule, lam_used, loss_used = fit.rule, fit.lambda_used, econf.loss
         if fit.per_fold_rules is not None:
             per_fold = [_rule_to_json(r) for r in fit.per_fold_rules]
-    elif method == "owl":
-        prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
-        out = None
-        bl = owl_fit(data, prop, econf)
-        rule, lam_used, loss_used = bl.rule, econf.lam, econf.loss
-    else:  # qlearning
-        if nspec.outcome_map is None:
+    else:
+        if method == "qlearning" and nspec.outcome_map is None:
             raise ConfigError("qlearning requires outcome features")
-        prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
-        out = None  # the artifact's Q-model is null: the rule already encodes the contrast
-        bl = qlearning_fit(data, nspec.outcome_map)
-        rule, lam_used, loss_used = bl.rule, 0.0, None
+        # the artifact's Q-model is null: OWL uses none, and a Q-learning
+        # rule already encodes the contrast
+        prop, out = nspec.fit_propensity(data), None
+        if method == "owl":
+            rule, lam_used, loss_used = owl_fit(data, prop, econf).rule, econf.lam, econf.loss
+        else:
+            rule, lam_used, loss_used = qlearning_fit(data, nspec.outcome_map).rule, 0.0, None
     artifact = {
         "method": method,
         "loss": loss_used,

@@ -8,14 +8,15 @@ over linear rules f(x) = beta0 + beta' features(x); the intercept is not
 penalized. This is weighted classification with two instances per subject
 (Zhang et al. 2012, Stat 1:103), held as one (2, n) array W = (W_1, -W_-1)
 of signed instance weights: an instance has the weight |W| and the label
-sgn(W). Every loss is solved by damped Newton iterations with
-backtracking; the hinge loss by the same iterations on a Huber-smoothed
-hinge of width 1e-5 (Chapelle 2007, Neural Computation 19:1155; Nesterov
-2005, Math. Programming 103:127). A smoothed-hinge objective is piecewise
-quadratic along a line, so each of its line searches starts at the exact
-1-D minimizer rather than at the full Newton step; that first trial point
-still has to pass the Armijo test, and the search halves it after a
-failure.
+sgn(W). Every loss is solved by the same damped Newton iterations with
+backtracking. A hinge problem is built as the Huber-smoothed hinge of
+width 1e-5 (Chapelle 2007, Neural Computation 19:1155; Nesterov 2005,
+Math. Programming 103:127), which the iterations minimize; the solve then
+reports the hinge objective at the point found. A smoothed-hinge
+objective is piecewise quadratic along a line, so each of its line
+searches starts at the exact 1-D minimizer rather than at the full Newton
+step; that first trial point still has to pass the Armijo test, and the
+search halves it after a failure.
 Cross-fitting partitions the sample into K folds, fits the nuisance models
 on fold I_k, runs the weighted minimization on the complement, and
 averages the K coefficient vectors.
@@ -60,7 +61,7 @@ from .core import (
     stream,
 )
 from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _OutcomeGram, fit_propensity
+from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _OutcomeGram
 from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
@@ -80,8 +81,18 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = tuple(2.0 ** k for k in range(-5, 6))
 
 _ARMIJO = 1e-4
-# width of the Huber smoothing under which the hinge is solved
-_HINGE_DELTA = 1e-5
+# the largest lambda whose ridge term 2 lambda is finite
+_MAX_LAMBDA = np.finfo(float).max / 2.0
+
+
+def _check_lambda(what: str, v: float) -> float:
+    v = float(v)
+    if not 0.0 <= v <= _MAX_LAMBDA:
+        raise ConfigError(
+            f"{what} must be finite, nonnegative and at most {_MAX_LAMBDA:.6g} "
+            f"(where 2 lambda is finite), got {v}"
+        )
+    return v
 
 
 @dataclass(frozen=True)
@@ -106,18 +117,14 @@ class EarlConfig:
 
     def __post_init__(self):
         get_loss(self.loss)
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
+        _check_lambda("lambda", self.lam)
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
-        grid = tuple(float(v) for v in self.lambda_grid)
+        grid = tuple(_check_lambda("lambda_grid values", v) for v in self.lambda_grid)
         if len(grid) == 0:
             raise ConfigError("lambda_grid must be nonempty")
-        for v in grid:
-            if not (np.isfinite(v) and v >= 0):
-                raise ConfigError(f"lambda_grid values must be finite and nonnegative, got {v}")
         object.__setattr__(self, "lambda_grid", grid)
 
     def rule_map(self, p: int) -> FeatureMap:
@@ -174,7 +181,8 @@ class _Problem:
     Hessian's row weights, which the solver asks for only at accepted
     points; hessian() forms the Hessian from those weights. Each sum adds a
     subject's instances first, then the subjects. Of these only value(),
-    the gradient's ridge term and hessian() depend on lam.
+    the gradient's ridge term and hessian() depend on lam. report() turns
+    the solver's last point and objective into the ones a solve returns.
     """
 
     def __init__(self, Z: np.ndarray, W: np.ndarray, loss: SurrogateLoss, lam: float):
@@ -188,7 +196,7 @@ class _Problem:
         self.loss = loss
         self.lam = float(lam)
         # (b, margins(b), loss_slopes at b) from the last solve of this
-        # problem if it converged at b, else None; see _solve_smooth
+        # problem if it converged at b, else None; see _solve
         self.carry = None
 
     # phi, and -phi' with phi'', at the margins t = -mt; the smoothed hinge
@@ -237,6 +245,11 @@ class _Problem:
         m = margins(b) and gd = g d: the full Newton step."""
         return 1.0
 
+    def report(self, b: np.ndarray, f: float) -> tuple[np.ndarray, float]:
+        """The point and objective a solve returns, from the minimizer's
+        point b and its objective f: these unchanged."""
+        return b, f
+
     def objective(self, b: np.ndarray) -> float:
         return self.value(b, self.margins(b))
 
@@ -249,12 +262,23 @@ class _SmoothedHinge(_Problem):
 
     In r = 1 - t the loss is 0 for r <= 0, r^2 / (2 delta) for
     0 < r <= delta and r - delta/2 beyond, so it lies at most delta/2
-    below the hinge. A margin with r = delta counts as curved.
+    below the hinge. A margin with r = delta counts as curved. The solver
+    minimizes this smoothed objective; report() gives the hinge's own.
     """
 
-    def __init__(self, prob: _Problem, delta: float):
-        self.__dict__.update(prob.__dict__)
-        self.delta = delta
+    delta = 1e-5
+
+    def report(self, b: np.ndarray, f: float) -> tuple[np.ndarray, float]:
+        """The hinge objective at b, or beta = 0 where that is lower. The
+        hinge is 1 at margin 0, so the objective at beta = 0 is
+        mean(|W_1| + |W_-1|) at any lam; a carry at b is dropped where
+        beta = 0 wins."""
+        mt = self.neg * (self.Z @ b)
+        f = self.value(b, (mt, None, _phi(self.loss.kind, mt, None)))
+        zero = float(self.aw.sum(axis=0).sum()) / self.n
+        if zero < f:
+            b, f, self.carry = np.zeros(self.q), zero, None
+        return b, f
 
     def _phi(self, mt: np.ndarray, shared) -> np.ndarray:
         r, d = 1.0 + mt, self.delta
@@ -315,14 +339,15 @@ def _rule_map(config: EarlConfig, p: int) -> FeatureMap:
 
 
 def _build_problem(data: Dataset, weights, config: EarlConfig, Z=None) -> tuple[_Problem, FeatureMap]:
-    """The weighted problem on data at config.lam; Z, if given, is the rule
-    design of data's rows (rows of a larger design, since a design row
-    depends only on its data row)."""
+    """The weighted problem on data at config.lam, a _SmoothedHinge for the
+    hinge loss; Z, if given, is the rule design of data's rows (rows of a
+    larger design, since a design row depends only on its data row)."""
     fm = _rule_map(config, data.p)
     W = _as_weight_arrays(weights, data.n)
     if Z is None:
         Z = _rule_design(data.X, fm)
-    return _Problem(Z, W, get_loss(config.loss), config.lam), fm
+    loss = get_loss(config.loss)
+    return (_Problem if loss.smooth else _SmoothedHinge)(Z, W, loss, config.lam), fm
 
 
 def earl_objective(rule: LinearRule, weights, data: Dataset, loss, lam: float) -> float:
@@ -361,8 +386,11 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
     yield -g
 
 
-def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | None = None):
-    """Damped Newton iterations on prob from b (None: beta = 0).
+def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
+    """Minimize prob at its lam by damped Newton iterations from b (None:
+    beta = 0), until the gradient's sup-norm drops below config.tol or
+    config.max_iter steps are taken. Returns prob.report's point and
+    objective, the step count, the sup-norm and whether it passed.
 
     A solve that converges leaves its last point on prob.carry. The next
     solve on prob started from that same array b, at any lam, takes b's
@@ -383,14 +411,14 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
     grad_norm = np.inf
     stall = 0
     steps = 0
-    for _ in range(max_iter):
+    for _ in range(config.max_iter):
         if slopes is None:
             slopes = prob.loss_slopes(m)
         g, w = prob.ridge(slopes[0], b), slopes[1]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         grad_norm = float(np.max(np.abs(g)))
-        if grad_norm < tol:
+        if grad_norm < config.tol:
             converged = True
             break
         for d in _descent_directions(prob.hessian(w), g):
@@ -422,37 +450,21 @@ def _solve_smooth(prob: _Problem, tol: float, max_iter: int, b: np.ndarray | Non
         f = fn
     if converged:
         prob.carry = (b, m, slopes)
-        return b, f, steps, grad_norm, True
-    grad_norm = float(np.max(np.abs(prob.gradient(best_b))))
-    return best_b, best_f, steps, grad_norm, grad_norm < tol
-
-
-def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
-    """Minimize prob at its lam from b (None: beta = 0) with config's tolerance."""
-    if prob.loss.smooth:
-        return _solve_smooth(prob, config.tol, config.max_iter, b)
-    # the smoothed problem's carry holds smoothed margins, so it is kept on
-    # prob for the next smoothed solve only, and dropped where beta = 0 wins
-    smoothed = _SmoothedHinge(prob, _HINGE_DELTA)
-    prob.carry = None
-    b, _, n_iter, grad_norm, converged = _solve_smooth(smoothed, config.tol, config.max_iter, b)
-    prob.carry = smoothed.carry
-    f = prob.objective(b)
-    # the hinge is 1 at margin 0: the objective at beta = 0 is mean(|W_1| + |W_-1|)
-    zero = float(prob.aw.sum(axis=0).sum()) / prob.n
-    if zero < f:
-        b, f, prob.carry = np.zeros(prob.q), zero, None
-    return b, f, n_iter, grad_norm, converged
+    else:
+        b, f = best_b, best_f
+        grad_norm = float(np.max(np.abs(prob.gradient(b))))
+        converged = grad_norm < config.tol
+    return (*prob.report(b, f), steps, grad_norm, converged)
 
 
 def earl_fit(data: Dataset, weights, config: EarlConfig) -> EarlFit:
     """Minimize the penalized weighted surrogate risk on one sample.
 
     Smooth losses run damped Newton iterations until the sup-norm of the
-    gradient drops below config.tol or config.max_iter is reached. The
-    hinge loss runs one such solve, with the same tol and max_iter, on the
-    Huber-smoothed hinge of width delta = 1e-5; each of its line searches
-    starts at the exact minimizer along the Newton direction and
+    gradient drops below config.tol or config.max_iter is reached. A hinge
+    problem is built as the Huber-smoothed hinge of width delta = 1e-5 and
+    runs the same solve, with the same tol and max_iter; each of its line
+    searches starts at the exact minimizer along the Newton direction and
     backtracks from there under the same Armijo test, and grad_norm and
     converged describe the smoothed objective. n_iter counts the Newton
     steps taken. Since the smoothed loss lies within delta/2 of the hinge,
@@ -500,12 +512,6 @@ def _merge_single_arm_folds(data: Dataset, folds: list[np.ndarray]) -> list[np.n
         )
         merged = np.sort(np.concatenate([folds[bad], folds[neighbor]]))
         folds = [f for i, f in enumerate(folds) if i not in (bad, neighbor)] + [merged]
-
-
-def _mean_rule(rules: list[LinearRule]) -> LinearRule:
-    beta0 = float(np.mean([r.beta0 for r in rules]))
-    beta = np.mean(np.stack([r.beta for r in rules]), axis=0)
-    return LinearRule(beta0, beta, rules[0].feature_map)
 
 
 def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig, folds=None, Z=None):
@@ -556,10 +562,11 @@ def earl_fit_crossfit(
     largest.
     """
     parts, fm = _crossfit_problems(data, nuisance, config, folds)
-    artifacts, status = [], []
+    artifacts, status, bs = [], [], []
     for fold_idx, erm_idx, prop, out, prob in parts:
         b, f, it, gn, ok = _solve(prob, config)
         status.append((it, gn, ok))
+        bs.append(b)
         artifacts.append(
             FoldArtifact(
                 nuisance_index=fold_idx,
@@ -571,8 +578,9 @@ def earl_fit_crossfit(
             )
         )
     rules = [a.rule for a in artifacts]
+    b = np.mean(bs, axis=0)
     return EarlFit(
-        rule=_mean_rule(rules),
+        rule=LinearRule(b[0], b[1:], fm),
         # cross-fit convention: average of the per-fold objectives; each
         # per-fold objective is recomputable from its FoldArtifact
         objective_value=float(np.mean([a.objective_value for a in artifacts])),
@@ -618,7 +626,7 @@ def _split_fits(data: Dataset, nuisance: NuisanceSpec, gram: _OutcomeGram | None
     outcome model by downdating gram, the outcome Gram of every row of
     data (None: no outcome model)."""
     train = data.subset(keep)
-    prop = fit_propensity(train, nuisance.propensity_map, ridge=nuisance.ridge, clip=nuisance.clip)
+    prop = nuisance.fit_propensity(train)
     out = None if gram is None else gram.fit(keep)
     w = dr_weights(data, prop, out)
     return train, tuple(x[keep] for x in w), tuple(x[~keep] for x in w)

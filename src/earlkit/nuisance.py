@@ -284,7 +284,7 @@ def fit_outcome(data: Dataset, feature_map: FeatureMap) -> OutcomeModel:
     leaves unchanged), warns, triggers an automatic minimal ridge (1e-8 on
     the diagonal of G) and sets ridge_fallback on the returned model.
     """
-    return _OutcomeGram(data, feature_map).fit(np.ones(data.n, dtype=bool))
+    return _OutcomeGram(data, feature_map).fit()
 
 
 class _OutcomeGram:
@@ -294,12 +294,13 @@ class _OutcomeGram:
 
     fit(keep) fits on the rows where keep holds: it solves
     (G - Zh'Zh) theta = r - Zh'Y_h, where Zh is one column-major copy of the
-    other rows, under the rank rule; with no row held out this is G itself.
-    A downdated G that fails the rule is refit on the kept rows' own G and
-    Z'Y, formed from their rows of Z: the 1e-8 ridge would amplify the
-    downdate's rounding. Where that G fails the rule too, the fit warns and
-    solves it with the 1e-8 ridge. A warning also flags fitted values on the
-    kept rows beyond 10x their max |Y|.
+    other rows, under the rank rule. A downdated G that fails the rule is
+    refit on the kept rows' own G and Z'Y, formed from their rows of Z: the
+    1e-8 ridge would amplify the downdate's rounding. fit() fits on every
+    row, from G itself, with nothing to downdate or refit. Where the G
+    solved fails the rule, the fit warns and solves it with the 1e-8 ridge.
+    A warning also flags fitted values on the kept rows beyond 10x their
+    max |Y|.
     """
 
     def __init__(self, data: Dataset, feature_map: FeatureMap):
@@ -309,11 +310,16 @@ class _OutcomeGram:
         self.G = self.Z.T @ self.Z
         self.r = self.Z.T @ data.Y
 
-    def fit(self, keep: np.ndarray) -> OutcomeModel:
-        hold = ~keep
-        Zh, y = _rows(self.Z, hold), self.data.Y[keep]
-        theta = _cholesky_solve(self.G - Zh.T @ Zh, self.r - Zh.T @ self.data.Y[hold])
-        if theta is None:
+    def fit(self, keep: np.ndarray | None = None) -> OutcomeModel:
+        """The fit on the rows where keep holds (None: every row)."""
+        if keep is None:
+            G, r, y = self.G, self.r, self.data.Y
+        else:
+            hold = ~keep
+            Zh, y = _rows(self.Z, hold), self.data.Y[keep]
+            G, r = self.G - Zh.T @ Zh, self.r - Zh.T @ self.data.Y[hold]
+        theta = _cholesky_solve(G, r)
+        if theta is None and keep is not None:
             Zk = _rows(self.Z, keep)
             G, r = Zk.T @ Zk, Zk.T @ y
             theta = _cholesky_solve(G, r)
@@ -323,9 +329,11 @@ class _OutcomeGram:
                 "outcome design is rank deficient; using a 1e-8 ridge fallback",
                 stacklevel=3,
             )
+            G = G.copy()
             G[np.diag_indices(G.shape[0])] += 1e-8
             theta = np.linalg.solve(G, r)
-        fitted_max = float(np.max(np.abs((self.Z @ theta)[keep])))
+        fitted = self.Z @ theta
+        fitted_max = float(np.max(np.abs(fitted if keep is None else fitted[keep])))
         y_max = float(np.max(np.abs(y)))
         if y_max > 0 and fitted_max > 10.0 * y_max:
             warnings.warn(
@@ -358,7 +366,11 @@ class NuisanceSpec:
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
 
+    def fit_propensity(self, data: Dataset) -> PropensityModel:
+        """The propensity model of this spec fit on data."""
+        return fit_propensity(data, self.propensity_map, ridge=self.ridge, clip=self.clip)
+
     def fit(self, data: Dataset) -> tuple[PropensityModel, OutcomeModel | None]:
-        prop = fit_propensity(data, self.propensity_map, ridge=self.ridge, clip=self.clip)
+        prop = self.fit_propensity(data)
         out = None if self.outcome_map is None else fit_outcome(data, self.outcome_map)
         return prop, out

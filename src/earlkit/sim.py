@@ -26,7 +26,7 @@ import numpy as np
 from .baselines import SearchConfig, aipwe_direct_search, owl_fit, qlearning_fit
 from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, stream
 from .earl import EarlConfig, fit_earl_pipeline
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _expit, fit_propensity
+from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _expit
 
 __all__ = [
     "ScenarioSpec",
@@ -230,7 +230,7 @@ def _fit_method_rule(
         return qlearning_fit(data, nspec.outcome_map).rule
     if method == "owl":
         # hinge loss, null Q-model; lambda stays fixed, even under select="cv"
-        prop = fit_propensity(data, nspec.propensity_map, ridge=nspec.ridge, clip=nspec.clip)
+        prop = nspec.fit_propensity(data)
         cfg = replace(earl_cfg, loss="hinge", seed=fit_seed)
         return owl_fit(data, prop, cfg).rule
     if method == "aipwe":

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,17 @@ def test_fit_rejects_a_lambda_that_is_not_finite_and_nonnegative(tmp_path, train
     rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--cv-folds", "4"] + flags)
     assert rc == cli.EXIT_CONFIG
     assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "1e308"], ["--lambda", "cv", "--lambda-grid", "1,1e308"]])
+def test_fit_rejects_a_lambda_whose_ridge_term_overflows(tmp_path, train_csv, capsys, flags):
+    out = tmp_path / "rule.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--cv-folds", "4"] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, "at most 8.98847e+307", "got 1e+308")
     assert not out.exists()
 
 

@@ -449,7 +449,7 @@ def _record_evaluations(monkeypatch):
     "warm"), each margins evaluation ("m") and each objective value ("v")."""
     events = []
     real_margins, real_value = earl_mod._Problem.margins, earl_mod._Problem.value
-    real_smooth = earl_mod._solve_smooth
+    real_solve = earl_mod._solve
 
     def margins(self, b):
         events.append("m")
@@ -459,13 +459,13 @@ def _record_evaluations(monkeypatch):
         events.append("v")
         return real_value(self, b, m)
 
-    def smooth(prob, tol, max_iter, b=None):
+    def solve(prob, config, b=None):
         events.append("cold" if b is None else "warm")
-        return real_smooth(prob, tol, max_iter, b)
+        return real_solve(prob, config, b)
 
     monkeypatch.setattr(earl_mod._Problem, "margins", margins)
     monkeypatch.setattr(earl_mod._Problem, "value", value)
-    monkeypatch.setattr(earl_mod, "_solve_smooth", smooth)
+    monkeypatch.setattr(earl_mod, "_solve", solve)
     return events
 
 
@@ -611,19 +611,43 @@ def test_every_problem_design_is_column_major(monkeypatch):
 def test_hinge_guard_evaluates_no_margins_at_beta_zero(monkeypatch, crossfit):
     # the hinge objective at beta = 0 is mean(|W_1| + |W_-1|) at any
     # lambda, so the guard reads it from the weights without evaluating
-    # the margins there
-    at_zero = []
-    real_margins = earl_mod._Problem.margins
+    # the margins there: while a solve reports its point b (never beta = 0
+    # here), nothing is evaluated at beta = 0
+    at_zero, reported, reporting = [], [], []
+    real_report = earl_mod._SmoothedHinge.report
+    real_margins, real_value, real_phi = earl_mod._Problem.margins, earl_mod._Problem.value, earl_mod._phi
+
+    def report(self, b, f):
+        reported.append(np.any(b))
+        reporting.append(self)
+        try:
+            return real_report(self, b, f)
+        finally:
+            reporting.pop()
 
     def margins(self, b):
-        if type(self) is earl_mod._Problem and not np.any(b):
-            at_zero.append(self)
+        if reporting and not np.any(b):
+            at_zero.append("margins")
         return real_margins(self, b)
 
+    def value(self, b, m):
+        if reporting and not np.any(b):
+            at_zero.append("value")
+        return real_value(self, b, m)
+
+    def phi(kind, mt, shared):
+        if reporting and not np.any(mt):
+            at_zero.append("phi")
+        return real_phi(kind, mt, shared)
+
+    monkeypatch.setattr(earl_mod._SmoothedHinge, "report", report)
     monkeypatch.setattr(earl_mod._Problem, "margins", margins)
+    monkeypatch.setattr(earl_mod._Problem, "value", value)
+    monkeypatch.setattr(earl_mod, "_phi", phi)
     d = generate_scenario(ScenarioSpec(2, 200), 3)
     cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, k_folds=2, seed=2)
     sel = select_lambda(d, _cc_spec(), cfg, crossfit=crossfit)
+    assert len(reported) > 0 and all(reported)
     assert at_zero == []
     monkeypatch.undo()
     assert sel.table == _cold_table(d, _cc_spec(), cfg, crossfit)
@@ -645,6 +669,30 @@ def test_n_iter_counts_newton_steps(monkeypatch):
         fit = earl_fit(d, w, EarlConfig(loss=loss, lam=0.1))
         assert fit.converged
         assert fit.n_iter == len(calls) > 0
+
+
+def test_smooth_solve_from_a_far_start_backtracks_and_converges(monkeypatch):
+    # from beta = (5, .., 5) the full logistic Newton step overshoots, so
+    # the line search halves some trial steps: it evaluates more trial
+    # points than the steps it takes
+    trials = []
+    real_margins = earl_mod._Problem.margins
+
+    def margins(self, b):
+        trials.append(1)
+        return real_margins(self, b)
+
+    d, rng = _data(60, 2, seed=3)
+    w = (rng.normal(size=60) * 3, rng.normal(size=60) * 3)
+    cfg = EarlConfig(loss="logistic", lam=0.01)
+    prob, _ = _build_problem(d, w, cfg)
+    monkeypatch.setattr(earl_mod._Problem, "margins", margins)
+    b, f, steps, grad_norm, converged = earl_mod._solve(prob, cfg, np.full(prob.q, 5.0))
+    monkeypatch.undo()
+    assert len(trials) - 1 > steps > 0  # the first evaluation is the start
+    assert converged and grad_norm < cfg.tol
+    assert float(np.max(np.abs(prob.gradient(b)))) < cfg.tol
+    assert f == prob.objective(b)
 
 
 def test_hinge_line_search_starts_at_the_exact_step(monkeypatch):
@@ -716,6 +764,16 @@ def test_select_lambda_rejects_negative_lambda():
     d = generate_scenario(ScenarioSpec(2, 200), 4)
     with pytest.raises(ConfigError, match="nonnegative"):
         select_lambda(d, _cc_spec(), EarlConfig(lambda_grid=(0.5, -1.0), cv_folds=4, seed=1))
+
+
+@pytest.mark.parametrize("kwargs", [{"lam": 1e308}, {"lambda_grid": (1.0, 1e308)}])
+def test_config_rejects_a_lambda_whose_ridge_term_overflows(kwargs):
+    # 2 lambda must be finite; the largest such lambda is accepted
+    with pytest.raises(ConfigError, match="at most 8.98847e"):
+        EarlConfig(**kwargs)
+    top = np.finfo(float).max / 2.0
+    assert np.isfinite(2.0 * top)
+    EarlConfig(lam=top, lambda_grid=(1.0, top))
 
 
 def test_select_lambda_needs_enough_rows():
@@ -805,7 +863,7 @@ def test_evaluator_equals_separate_formulas(loss, delta):
         lam = float(rng.uniform(0.0, 1.0))
         prob, _ = _build_problem(d, (w_pos, w_neg), EarlConfig(loss=loss, lam=lam))
         if delta is not None:
-            prob = earl_mod._SmoothedHinge(prob, delta)
+            prob.delta = delta
         # the last trials put every margin on a kink: t = +-1 (sqhinge), r = delta
         b = rng.normal(size=p + 1) * 2.0 ** rng.integers(-3, 4)
         if trial >= 18:
@@ -829,18 +887,18 @@ def test_evaluator_equals_separate_formulas(loss, delta):
 
 
 def test_warm_hinge_solve_starts_at_narrow_smoothing(monkeypatch):
-    real_smooth = earl_mod._solve_smooth
+    real_solve = earl_mod._solve
     stages = []
 
-    def recorded(prob, tol, max_iter, b=None):
+    def recorded(prob, config, b=None):
         stages.append((prob.delta, b is None))
-        return real_smooth(prob, tol, max_iter, b)
+        return real_solve(prob, config, b)
 
-    monkeypatch.setattr(earl_mod, "_solve_smooth", recorded)
+    monkeypatch.setattr(earl_mod, "_solve", recorded)
     d = generate_scenario(ScenarioSpec(2, 200), 3)
     cfg = EarlConfig(loss="hinge", lambda_grid=(0.25, 1.0, 4.0), cv_folds=4, seed=2)
     sel = select_lambda(d, _cc_spec(), cfg)
-    cold, warm = (earl_mod._HINGE_DELTA, True), (earl_mod._HINGE_DELTA, False)
+    cold, warm = (earl_mod._SmoothedHinge.delta, True), (earl_mod._SmoothedHinge.delta, False)
     # each of the 4 splits: one cold solve at lambda = 4, then two warm ones
     assert stages == [cold, warm, warm] * 4
     monkeypatch.undo()

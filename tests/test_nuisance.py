@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+import earlkit.nuisance as nuisance_mod
 from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap
 from earlkit.earl import _partition
 from earlkit.nuisance import (
@@ -185,6 +186,32 @@ def test_outcome_rank_deficiency_triggers_ridge_fallback():
     with pytest.warns(UserWarning, match="rank deficient"):
         m = fit_outcome(d, fm)
     assert m.ridge_fallback
+
+
+def test_rank_deficient_full_fit_factors_g_once(monkeypatch):
+    # with one arm, linear*a's a*x columns repeat its x columns; a fit with
+    # no row held out solves G itself, so it has nothing to downdate or
+    # refit, and equals the fit that keeps every row of a downdate
+    d = _balanced_data()
+    d = Dataset(d.X, np.ones(d.n, dtype=int), d.Y)
+    fm = FeatureMap.from_name("linear*a", d.p)
+    calls = []
+    real = nuisance_mod._cholesky_solve
+
+    def counted(G, r):
+        calls.append(G)
+        return real(G, r)
+
+    monkeypatch.setattr(nuisance_mod, "_cholesky_solve", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = fit_outcome(d, fm)
+    assert len(calls) == 1
+    assert [str(w.message) for w in caught] == ["outcome design is rank deficient; using a 1e-8 ridge fallback"]
+    assert m.ridge_fallback
+    with pytest.warns(UserWarning, match="rank deficient"):
+        kept = _OutcomeGram(d, fm).fit(np.ones(d.n, dtype=bool))
+    assert np.array_equal(m.theta, kept.theta)
 
 
 def test_outcome_residual_orthogonality():

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import earlkit.sim as sim_mod
+from earlkit.baselines import SearchConfig
 from earlkit.core import ConfigError
 from earlkit.earl import EarlConfig
 from earlkit.nuisance import predict_propensity
@@ -165,6 +169,42 @@ def test_run_experiment_earl_smoke():
     for r in res:
         assert r.error is None
         assert 9.0 < r.value < 11.5
+
+
+def test_run_experiment_owl_keeps_its_lambda_under_cv(monkeypatch):
+    lams = []
+    real_owl_fit = sim_mod.owl_fit
+
+    def recorded(data, prop, cfg):
+        lams.append((cfg.loss, cfg.lam))
+        return real_owl_fit(data, prop, cfg)
+
+    monkeypatch.setattr(sim_mod, "owl_fit", recorded)
+    kwargs = dict(
+        scenarios=[2], specs=["CC", "II"], methods=["owl", "aipwe"], n_grid=[120],
+        replicates=1, seed=4, validation_draws=500, select="cv",
+        earl_config=EarlConfig(lam=0.25),
+        search_config=SearchConfig(population=12, generations=3),
+    )
+    res = run_experiment(**kwargs)
+    assert sorted((r.method, r.spec) for r in res) == [("aipwe", "CC"), ("aipwe", "II"), ("owl", "CC"), ("owl", "II")]
+    assert all(r.error is None and np.isfinite(r.value) for r in res)
+    assert lams == [("hinge", 0.25)] * 2
+    again = run_experiment(**kwargs)
+    assert [(r.method, r.spec, r.value) for r in again] == [(r.method, r.spec, r.value) for r in res]
+
+
+def test_run_experiment_records_a_failed_fit():
+    # select="cv" needs n >= cv_folds rows
+    res = run_experiment(
+        scenarios=[2], specs=["CC"], methods=["earl-logistic", "qlearning"], n_grid=[8],
+        replicates=1, seed=2, validation_draws=100, select="cv",
+        earl_config=EarlConfig(cv_folds=10),
+    )
+    failed, ok = res
+    assert failed.method == "earl-logistic" and math.isnan(failed.value)
+    assert failed.error == "need n >= cv_folds, got n=8, cv_folds=10"
+    assert ok.method == "qlearning" and ok.error is None and np.isfinite(ok.value)
 
 
 def test_run_experiment_rejects_unknown_method():

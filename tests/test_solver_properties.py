@@ -23,8 +23,6 @@ def _data(seed, n, p):
 def _kkt_norm(prob, b):
     """The sup-norm of a fresh gradient at b, the one the solver's
     convergence test reads: for the hinge, that of its smoothing."""
-    if not prob.loss.smooth:
-        prob = earl_mod._SmoothedHinge(prob, earl_mod._HINGE_DELTA)
     return float(np.max(np.abs(prob.gradient(b))))
 
 
@@ -107,7 +105,7 @@ def test_hinge_first_step_is_the_exact_line_minimizer(seed, n, p, delta, lam, fl
     w = rng.normal(size=(2, n)) * 3.0
     w[rng.random((2, n)) < 0.3] = 0.0
     prob, _ = _build_problem(d, (w[0], w[1]), EarlConfig(loss="hinge", lam=lam))
-    prob = earl_mod._SmoothedHinge(prob, delta)
+    prob.delta = delta
     b = rng.normal(size=p + 1) * 2.0 ** rng.integers(-3, 3)
     if flat:
         direction = np.zeros(p + 1)
