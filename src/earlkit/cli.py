@@ -291,6 +291,25 @@ def _split_csv(text) -> list[str]:
     return [tok.strip() for tok in str(text).split(",") if tok.strip()]
 
 
+def _int_list(text, flag: str, hi: int | None = None) -> list[int]:
+    """The integers of a comma-separated list flag. An entry that is not
+    an integer (or, given hi, not in 1..hi) and an empty list are
+    ConfigErrors naming the flag."""
+    span = "" if hi is None else f" in 1..{hi}"
+    values = []
+    for tok in _split_csv(text):
+        try:
+            v = int(tok)
+        except ValueError:
+            v = None
+        if v is None or (hi is not None and not 1 <= v <= hi):
+            raise ConfigError(f"{flag} entry {tok!r} is not an integer{span}")
+        values.append(v)
+    if not values:
+        raise ConfigError(f"{flag} lists no integers{span}, got {text!r}")
+    return values
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.output:
         raise ConfigError("simulate requires --output")
@@ -299,10 +318,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if use_cv:
         raise ConfigError("simulate needs a fixed --lambda; choose lambda by CV with --select cv")
     results = run_experiment(
-        scenarios=[int(s) for s in _split_csv(args.scenarios)],
+        scenarios=_int_list(args.scenarios, "--scenarios"),
         specs=_split_csv(args.specs),
         methods=_split_csv(args.methods),
-        n_grid=[int(v) for v in _split_csv(args.n_grid)],
+        n_grid=_int_list(args.n_grid, "--n-grid"),
         replicates=args.replicates,
         seed=seed,
         validation_draws=args.validation_draws,
@@ -330,7 +349,7 @@ def cmd_permtest(args: argparse.Namespace) -> int:
     if str(args.covariates).strip().lower() == "all":
         covs = None
     else:
-        covs = [int(v) - 1 for v in _split_csv(args.covariates)]  # 1-based on the CLI
+        covs = [j - 1 for j in _int_list(args.covariates, "--covariates", data.p)]  # 1-based on the CLI
     report = permutation_report(data, pipeline, b=args.b, seed=econf.seed, covariates=covs)
     lines = ["covariate,coefficient,p_value"]
     for e in report.entries:

@@ -126,7 +126,7 @@ class Dataset:
         if not np.all(np.isfinite(Y)):
             raise DataError("Y contains non-finite values")
         Af = np.asarray(A, dtype=float)
-        if not np.all(np.isin(Af, (-1.0, 1.0))):
+        if not np.all((Af == 1.0) | (Af == -1.0)):
             bad = Af[~np.isin(Af, (-1.0, 1.0))][0]
             raise DataError(f"treatment entries must be -1 or +1, got {bad}")
         object.__setattr__(self, "X", _frozen_array(X, float))
@@ -200,8 +200,10 @@ class FeatureMap:
     def q(self) -> int:
         return len(self.terms)
 
-    @property
+    @cached_property
     def uses_treatment(self) -> bool:
+        """Whether a term involves the treatment; every design call and
+        every model and rule constructor asks, so it is found once per map."""
         return any(t[0] in ("a", "ax") for t in self.terms)
 
     @property

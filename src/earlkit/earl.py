@@ -195,6 +195,7 @@ class _Problem:
         self.gw = self.aw * self.neg
         self.loss = loss
         self.lam = float(lam)
+        self._diag = np.arange(1, self.q)  # the penalized diagonal of hessian()
         # (b, margins(b), loss_slopes at b) from the last solve of this
         # problem if it converged at b, else None; see _solve
         self.carry = None
@@ -236,8 +237,7 @@ class _Problem:
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         H = self.Z.T @ (w[:, None] * self.Z)
-        idx = np.arange(1, self.q)
-        H[idx, idx] += 2.0 * self.lam
+        H[self._diag, self._diag] += 2.0 * self.lam
         return H
 
     def first_step(self, b: np.ndarray, m, d: np.ndarray, gd: float) -> float:
@@ -406,7 +406,8 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
     f = prob.value(b, m)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting coefficient vector")
-    best_f, best_b = f, b.copy()
+    # no iterate is modified in place, so best_b can hold one by reference
+    best_f, best_b = f, b
     converged = False
     grad_norm = np.inf
     stall = 0
@@ -415,9 +416,10 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
         if slopes is None:
             slopes = prob.loss_slopes(m)
         g, w = prob.ridge(slopes[0], b), slopes[1]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient after {steps} Newton steps")
+        # NaN and inf carry through the max, so one pass tests finiteness too
         grad_norm = float(np.max(np.abs(g)))
+        if not grad_norm < np.inf:
+            raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         if grad_norm < config.tol:
             converged = True
             break
@@ -427,7 +429,7 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
             # Armijo with an absolute-noise allowance so steps near machine
             # precision are not rejected spuriously
             while t >= 1e-14:
-                bn = b + t * d
+                bn = b + d if t == 1.0 else b + t * d
                 mn = prob.margins(bn)
                 fn = prob.value(bn, mn)
                 if np.isfinite(fn) and fn <= f + _ARMIJO * t * gd + 1e-14 * (1.0 + abs(f)):
@@ -440,7 +442,7 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
         b, m, slopes = bn, mn, None
         steps += 1
         if fn < best_f:
-            best_f, best_b = fn, b.copy()
+            best_f, best_b = fn, b
         if fn >= f - 1e-14 * (1.0 + abs(f)):
             stall += 1
             if stall >= 10:

@@ -91,9 +91,24 @@ def permutation_report(
     seed: int = 0,
     covariates=None,
 ) -> PermutationReport:
-    """Run the permutation test for each covariate (default: all of them)."""
+    """Run the permutation test for each covariate (default: all of them).
+
+    The observed data are fit once, at the first test's first call, and
+    that rule serves every covariate, so the pipeline runs
+    1 + B |covariates| times; for a deterministic pipeline the entries are
+    those of separate permutation_test calls.
+    """
     covariates = range(data.p) if covariates is None else covariates
+    observed = []
+
+    def shared(d: Dataset) -> LinearRule:
+        if d is not data:
+            return pipeline(d)
+        if not observed:
+            observed.append(pipeline(data))
+        return observed[0]
+
     entries = tuple(
-        permutation_test(data, pipeline, int(j), b=b, seed=seed) for j in covariates
+        permutation_test(data, shared, int(j), b=b, seed=seed) for j in covariates
     )
     return PermutationReport(entries=entries)

@@ -134,9 +134,10 @@ def predict_propensity(model: PropensityModel, x, a: int) -> float:
 
 def _penalized_loglik(eta, y, gamma, ridge, pen_mask) -> float:
     # y*eta - log(1 + exp(eta)), computed stably
-    ll = y * eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))
-    pen = 0.5 * ridge * float(np.sum((gamma * pen_mask) ** 2))
-    return float(np.sum(ll)) - pen
+    ll = float(np.sum(y * eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))))
+    if ridge > 0.0:
+        ll -= 0.5 * ridge * float(np.sum((gamma * pen_mask) ** 2))
+    return ll
 
 
 def fit_propensity(
@@ -147,10 +148,14 @@ def fit_propensity(
 ) -> PropensityModel:
     """Fit pi(1; x) = expit{gamma' features(x)} by penalized IRLS.
 
-    The intercept is never penalized. The fit converges when the largest
+    The intercept is never penalized. At ridge 0, the default of every
+    caller, no penalty term is formed: the score, Hessian and
+    log-likelihood are the unpenalized ones, which a zero penalty would
+    leave bit for bit unchanged. The fit converges when the largest
     score component falls below 1e-8; it stops with converged=False after
     100 iterations, or earlier when no step length keeps the penalized
-    log-likelihood from decreasing.
+    log-likelihood from decreasing. A Newton step that is not finite or
+    whose norm exceeds 1e12 fails the fit.
     Raises ConvergenceError for perfectly separated data with ridge = 0 and
     NumericalError if the weighted normal equations are singular.
     """
@@ -158,7 +163,7 @@ def fit_propensity(
     if ridge < 0:
         raise DomainError(f"ridge must be nonnegative, got {ridge}")
     lo, hi = _check_clip(clip)
-    if ridge == 0.0 and len(np.unique(data.A)) < 2:
+    if ridge == 0.0 and data.A.min() == data.A.max():
         raise ConvergenceError(
             "all subjects received the same treatment; the unpenalized fit "
             "diverges, refit with ridge > 0"
@@ -166,9 +171,11 @@ def fit_propensity(
     Z = feature_map.design(data.X)
     y = (data.A == 1).astype(float)
     q = Z.shape[1]
-    pen_mask = np.array(
-        [0.0 if t == ("1",) else 1.0 for t in feature_map.terms], dtype=float
-    )
+    pen_mask = None
+    if ridge > 0.0:
+        pen_mask = np.array(
+            [0.0 if t == ("1",) else 1.0 for t in feature_map.terms], dtype=float
+        )
     gamma = np.zeros(q)
     eta = Z @ gamma
     mu = _expit(eta)  # refreshed at every accepted step; the separation check reads it too
@@ -177,19 +184,23 @@ def fit_propensity(
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_IRLS_ITER + 1):
-        score = Z.T @ (y - mu) - ridge * (gamma * pen_mask)
+        score = Z.T @ (y - mu)
+        if pen_mask is not None:
+            score -= ridge * (gamma * pen_mask)
         if np.max(np.abs(score)) < SCORE_TOL:
             converged = True
             n_iter -= 1
             break
         w = mu * (1.0 - mu)
         H = Z.T @ (w[:, None] * Z)
-        H[np.diag_indices(q)] += ridge * pen_mask
+        if pen_mask is not None:
+            H[np.diag_indices(q)] += ridge * pen_mask
         try:
             delta = np.linalg.solve(H, score)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular weighted normal equations: {exc}") from exc
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e12:
+        # fails for a NaN or infinite step too, and for |delta| > 1e12
+        if not float(delta @ delta) <= 1e24:
             raise NumericalError("weighted normal equations are numerically singular")
         # step halving keeps the penalized log-likelihood nondecreasing
         t = 1.0

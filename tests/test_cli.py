@@ -480,6 +480,38 @@ def test_simulate_rejects_cv_lambda(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("value,fragments", [
+    ("1,x", ["'x'", "1..4"]),
+    ("", ["no integers", "1..4"]),
+    (" , ", ["no integers", "1..4"]),
+    ("0", ["'0'", "1..4"]),
+    ("5", ["'5'", "1..4"]),
+    ("2,1.5", ["'1.5'", "1..4"]),
+])
+def test_permtest_rejects_a_bad_covariate_list(tmp_path, train_csv, capsys, value, fragments):
+    out = tmp_path / "p.csv"
+    rc = cli.main(["permtest", "--input", train_csv, "--output", str(out), "--b", "2",
+                   "--covariates", value])
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, "--covariates", *fragments)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,fragments", [
+    (["--scenarios", "2,x"], ["--scenarios", "'x'"]),
+    (["--scenarios", ""], ["--scenarios", "no integers"]),
+    (["--n-grid", "50,abc"], ["--n-grid", "'abc'"]),
+    (["--n-grid", ","], ["--n-grid", "no integers"]),
+])
+def test_simulate_rejects_a_bad_integer_list(tmp_path, capsys, flags, fragments):
+    out = tmp_path / "s.csv"
+    rc = cli.main(["simulate", "--output", str(out), "--methods", "qlearning", "--n-grid", "120",
+                   "--replicates", "1", "--validation-draws", "100", "--select", "fixed"] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, *fragments)
+    assert not out.exists()
+
+
 def test_simulate_config_rejects_unknown_select(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"select": "CV", "methods": "qlearning", "n_grid": "120",

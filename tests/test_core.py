@@ -64,6 +64,14 @@ def test_dataset_invariants():
         Dataset(X, [1, -1], [np.inf, 0.0])
 
 
+@pytest.mark.parametrize("bad,shown", [(0, "0.0"), (2, "2.0"), (np.nan, "nan"), (-0.5, "-0.5")])
+def test_dataset_rejects_a_treatment_other_than_plus_or_minus_one(bad, shown):
+    X = np.zeros((3, 1))
+    with pytest.raises(DataError) as info:
+        Dataset(X, [1, bad, -1], np.zeros(3))
+    assert str(info.value) == f"treatment entries must be -1 or +1, got {shown}"
+
+
 def test_dataset_is_immutable():
     d = Dataset(np.ones((2, 2)), [1, -1], [0.0, 1.0])
     with pytest.raises(ValueError):

@@ -695,6 +695,24 @@ def test_smooth_solve_from_a_far_start_backtracks_and_converges(monkeypatch):
     assert f == prob.objective(b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+def test_non_finite_gradient_is_a_numerical_error(monkeypatch, bad, loss):
+    real = earl_mod._Problem.loss_slopes
+
+    def poisoned(self, m):
+        g, w = real(self, m)
+        g = g.copy()
+        g[-1] = bad
+        return g, w
+
+    monkeypatch.setattr(earl_mod._Problem, "loss_slopes", poisoned)
+    d, rng = _data(40, 2, seed=5)
+    w = (rng.normal(size=40), rng.normal(size=40))
+    with pytest.raises(NumericalError, match="non-finite gradient after 0 Newton steps"):
+        earl_fit(d, w, EarlConfig(loss=loss, lam=0.1))
+
+
 def test_hinge_line_search_starts_at_the_exact_step(monkeypatch):
     # each Newton step forms one Hessian; every other objective evaluation
     # is a line-search trial point (plus a few per fit)

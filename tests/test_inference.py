@@ -126,3 +126,20 @@ def test_invalid_arguments():
         permutation_test(d, _earl_pipeline(), covariate=0, b=0)
     with pytest.raises(ConfigError):
         permutation_test(d, _earl_pipeline(), covariate=5, b=10)
+
+
+def test_report_fits_the_observed_data_once():
+    d = _dataset(n=60, p=3, seed=2)
+    fit = _earl_pipeline()
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return fit(data)
+
+    b = 6
+    report = permutation_report(d, counting, b=b, seed=5, covariates=[0, 2])
+    assert len(calls) == 1 + 2 * b
+    assert sum(data is d for data in calls) == 1
+    separate = [permutation_test(d, fit, j, b=b, seed=5) for j in (0, 2)]
+    assert list(report.entries) == separate

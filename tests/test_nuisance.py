@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit, logit
 
 import earlkit.nuisance as nuisance_mod
-from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap
+from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap, NumericalError
 from earlkit.earl import _partition
 from earlkit.nuisance import (
     OutcomeModel,
@@ -140,6 +140,31 @@ def test_single_arm_requires_ridge():
         fit_propensity(d, FeatureMap.intercept_only(1), ridge=0.0)
     m = fit_propensity(d, FeatureMap.intercept_only(1), ridge=0.5)
     assert np.isfinite(m.gamma[0])
+
+
+# gamma pinned from the fits at the parent of the ridge-0 fast path, where
+# every IRLS iteration formed the penalty terms; ridge > 0 still forms them
+@pytest.mark.parametrize("name,ridge,gamma", [
+    ("linear", 0.5, [-0.509847169585633, 0.3782239537022071, -0.1956563007285959, -0.1831900517032705]),
+    ("quadratic", 2.0, [-0.019684550488339156, 0.3299327024333872, -0.28696341537179615,
+                        -0.2139652995619193, -0.21019994891189808, -0.28759590947243185,
+                        -0.1392327198402677]),
+    ("linear", 0.0, [-0.5097739015547188, 0.38316255217499245, -0.19914588509945372, -0.1869246213414301]),
+])
+def test_propensity_fit_matches_pinned_coefficients(name, ridge, gamma):
+    d = generate_scenario(ScenarioSpec(2, 200, p=3), 7)
+    m = fit_propensity(d, FeatureMap.from_name(name, d.p), ridge=ridge)
+    assert m.converged
+    assert m.gamma.tolist() == pytest.approx(gamma, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 1e12])
+def test_non_finite_or_huge_newton_step_is_a_numerical_error(monkeypatch, step):
+    # a step of 1e12 in each of the 3 coefficients has norm 1.7e12 > 1e12
+    d = generate_scenario(ScenarioSpec(2, 100, p=2), 3)
+    monkeypatch.setattr(nuisance_mod.np.linalg, "solve", lambda H, score: np.full(score.shape, step))
+    with pytest.raises(NumericalError, match="numerically singular"):
+        fit_propensity(d, FeatureMap.linear(d.p))
 
 
 def test_outcome_constant_fit():
