@@ -19,12 +19,11 @@ deterministic summary of how far the two trees agree:
   whose nuisance fits took that fallback, and the number of far cells in
   splits where no fit did.
 
-A split starts where select_lambda fits its nuisance models: at
-earlkit.earl._split_fits, or, in trees that predate it, at the
-NuisanceSpec.fit call on the split's training rows. Each call's warnings
-are recorded once, in order, and each rank-deficiency warning goes to the
-split in progress, wherever it was raised, so the fits of a split's
-cross-fitting folds count toward that split.
+A split starts where select_lambda fits its nuisance models, at
+earlkit.earl._split_fits. Each call's warnings are recorded once, in
+order, and each rank-deficiency warning goes to the split in progress,
+wherever it was raised, so the fits of a split's cross-fitting folds
+count toward that split.
 
 It exits 1 if a selected lambda differs or a call fails on one side only.
 
@@ -74,25 +73,13 @@ def emit() -> None:
     # per CV split, in order: how many of the call's warnings, the list log
     # recorded around each call below, came before the split started
     starts = []
-    real_split_fits = getattr(earl, "_split_fits", None)
-    if real_split_fits is not None:
+    real_split_fits = earl._split_fits
 
-        def split_fits(*args):
-            starts.append(len(log))
-            return real_split_fits(*args)
+    def split_fits(*args):
+        starts.append(len(log))
+        return real_split_fits(*args)
 
-        earl._split_fits = split_fits
-    else:
-        real_fit = NuisanceSpec.fit
-
-        def fit(self, data):
-            # a split's own fit has 9/10 of the call's rows; the cross-fitting
-            # fold fits that follow it, about half of the split's
-            if data.n > n / 2:
-                starts.append(len(log))
-            return real_fit(self, data)
-
-        NuisanceSpec.fit = fit
+    earl._split_fits = split_fits
     for scenario, n, loss, crossfit in _calls():
         data = generate_scenario(ScenarioSpec(scenario, n), 0)
         spec = NuisanceSpec(FeatureMap.linear(data.p), FeatureMap.from_name("linear*a", data.p))

@@ -33,6 +33,9 @@ __all__ = [
 
 # effectively a constant rule when the coefficient vector is forced to unit norm
 _CONST_INTERCEPT = 1e9
+# the search's Gaussian mutation scale and tournament size
+_MUTATION_SD = 0.1
+_TOURNAMENT = 4
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,6 @@ def owl_fit(data: Dataset, propensity: PropensityModel, config: EarlConfig) -> B
 class SearchConfig:
     population: int = 100
     generations: int = 200
-    mutation_sd: float = 0.1
-    tournament: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -164,7 +165,7 @@ def aipwe_direct_search(
         # P_n[W_{d(X)}] for the whole population at once: d = +1 where f >= 0
         return base + gain @ (X1 @ pop.T >= 0.0) / n
 
-    m, k = config.population, config.tournament
+    m, k = config.population, _TOURNAMENT
     axes = np.arange(m) % p
     if outcome is not None:
         seed_genome = _seed_genome(outcome, p, rng)
@@ -185,15 +186,13 @@ def aipwe_direct_search(
         parents = pop[np.take_along_axis(entrants, won[..., None], axis=-1)[..., 0]]
         mask = rng.random((m - 1, p + 1)) < 0.5
         children = np.where(mask, parents[0], parents[1])
-        children += rng.normal(0.0, config.mutation_sd, size=(m - 1, p + 1))
+        children += rng.normal(0.0, _MUTATION_SD, size=(m - 1, p + 1))
         pop = np.vstack([best_genome, _normalize_genomes(children, axes[1:])])  # elitism
         fit_vals = fitness(pop)
         gen_best = int(np.argmax(fit_vals))
         if float(fit_vals[gen_best]) > best_value:
             best_value = float(fit_vals[gen_best])
             best_genome = pop[gen_best].copy()
-        if best_value < history[-1]:
-            raise AssertionError("elitism violated: best value decreased")
         history.append(best_value)
     rule = LinearRule.raw(best_genome[0], best_genome[1:], p)
     return BaselineFit(

@@ -22,13 +22,10 @@ import numpy as np
 from .baselines import owl_fit, qlearning_fit
 from .core import (
     ConfigError,
-    ConvergenceError,
     DataError,
-    DomainError,
     EarlError,
     FeatureMap,
     LinearRule,
-    NumericalError,
     ParseError,
     load_csv,
 )
@@ -326,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=seed,
         validation_draws=args.validation_draws,
         threads=args.threads,
-        earl_config=EarlConfig(lam=lam, seed=seed),
+        earl_config=EarlConfig(lam=lam),
         select=args.select,
     )
     buf = io.StringIO()
@@ -472,7 +469,7 @@ def main(argv=None) -> int:
     except (ParseError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, ConvergenceError, NumericalError, EarlError) as exc:
+    except EarlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

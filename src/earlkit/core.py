@@ -288,9 +288,8 @@ class FeatureMap:
         return cls(p, (("1",),))
 
     @classmethod
-    def linear(cls, p: int, coords: Sequence[int] | None = None, intercept: bool = True) -> "FeatureMap":
-        coords = range(p) if coords is None else coords
-        terms = ([("1",)] if intercept else []) + [("x", int(j)) for j in coords]
+    def linear(cls, p: int, intercept: bool = True) -> "FeatureMap":
+        terms = ([("1",)] if intercept else []) + [("x", j) for j in range(p)]
         return cls(p, tuple(terms))
 
     @classmethod
@@ -315,11 +314,12 @@ class FeatureMap:
     def from_name(cls, name: str, p: int, intercept: bool = True) -> "FeatureMap":
         """Build a map from a config string.
 
-        Accepted names: "intercept", "linear", "linear+interactions",
-        "quadratic"; an optional "*a" suffix crosses the map with treatment
-        (main effect plus products with every raw covariate).
+        Accepted names, in any case: "intercept", "linear",
+        "linear+interactions", "quadratic"; an optional "*a" suffix crosses
+        the map with treatment (main effect plus products with every raw
+        covariate).
         """
-        base = name.strip()
+        base = name.strip().lower()
         cross = base.endswith("*a")
         if cross:
             base = base[:-2]

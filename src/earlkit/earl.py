@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,14 +102,16 @@ class EarlConfig:
 
     lam is the ridge weight on the rule coefficients (the JSON/CLI key is
     "lambda"); feature_map is the map for f over x only, without an
-    intercept term (None means the raw covariates); k_folds is the number
-    of cross-fitting folds K.
+    intercept term (None means the raw covariates), and any other map is
+    a ConfigError; k_folds is the number of cross-fitting folds K. tol, the
+    sup-norm of the gradient at which a solve has converged, is fixed.
     """
+
+    tol: ClassVar[float] = 1e-8
 
     loss: str = "logistic"
     lam: float = 0.0
     feature_map: FeatureMap | None = None
-    tol: float = 1e-8
     max_iter: int = 5000
     k_folds: int = 2
     cv_folds: int = 10
@@ -118,6 +121,9 @@ class EarlConfig:
     def __post_init__(self):
         get_loss(self.loss)
         _check_lambda("lambda", self.lam)
+        fm = self.feature_map
+        if fm is not None and (fm.uses_treatment or fm.has_intercept):
+            raise ConfigError("the rule feature map must be over x only, without an intercept")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
         if self.cv_folds < 2:
@@ -331,18 +337,11 @@ def _rule_design(X: np.ndarray, fm: FeatureMap) -> np.ndarray:
     return fm._with_intercept.design(X)
 
 
-def _rule_map(config: EarlConfig, p: int) -> FeatureMap:
-    fm = config.rule_map(p)
-    if fm.uses_treatment or fm.has_intercept:
-        raise ConfigError("the rule feature map must be over x only, without an intercept")
-    return fm
-
-
 def _build_problem(data: Dataset, weights, config: EarlConfig, Z=None) -> tuple[_Problem, FeatureMap]:
     """The weighted problem on data at config.lam, a _SmoothedHinge for the
     hinge loss; Z, if given, is the rule design of data's rows (rows of a
     larger design, since a design row depends only on its data row)."""
-    fm = _rule_map(config, data.p)
+    fm = config.rule_map(data.p)
     W = _as_weight_arrays(weights, data.n)
     if Z is None:
         Z = _rule_design(data.X, fm)
@@ -533,7 +532,7 @@ def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig
         folds = _partition(data.n, k, config.seed, 7011)
     folds = _merge_single_arm_folds(data, list(folds))
     if Z is None:
-        Z = _rule_design(data.X, _rule_map(config, data.p))
+        Z = _rule_design(data.X, config.rule_map(data.p))
     parts = []
     for fold_idx in folds:
         keep = np.ones(data.n, dtype=bool)
@@ -683,7 +682,7 @@ def select_lambda(
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
         raise DataError(f"need n >= cv_folds, got n={data.n}, cv_folds={config.cv_folds}")
-    Z = _rule_design(data.X, _rule_map(config, data.p))
+    Z = _rule_design(data.X, config.rule_map(data.p))
     gram = None if nuisance.outcome_map is None else _OutcomeGram(data, nuisance.outcome_map)
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)
     vals = np.full((len(grid), len(folds)), np.nan)

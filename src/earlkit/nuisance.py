@@ -215,8 +215,6 @@ def fit_propensity(
             break  # no ascent direction left at machine precision
         gamma, eta, ll = cand, cand_eta, cand_ll
         mu = _expit(eta)
-        if ll < path[-1] - 1e-9 * (1.0 + abs(path[-1])):
-            raise NumericalError("IRLS objective decreased; numerical breakdown")
         path.append(ll)
     if ridge == 0.0:
         # separation: every fitted probability saturates on its own label,

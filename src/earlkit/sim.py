@@ -52,7 +52,6 @@ class ScenarioSpec:
     scenario: int
     n: int
     p: int = DEFAULT_P
-    noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.scenario not in (1, 2, 3):
@@ -86,7 +85,7 @@ def generate_scenario(spec: ScenarioSpec, seed) -> Dataset:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.standard_normal((spec.n, spec.p))
     A = np.where(rng.random(spec.n) < propensity_true(spec.scenario, X), 1, -1)
-    Y = outcome_mean(X, A) + spec.noise_sd * rng.standard_normal(spec.n)
+    Y = outcome_mean(X, A) + rng.standard_normal(spec.n)
     return Dataset(X, A, Y)
 
 
@@ -180,14 +179,10 @@ class ModelSpec:
     def outcome_correct(self) -> bool:
         return self.code[1] == "C"
 
-    def nuisance_spec(
-        self, scenario: int, p: int = DEFAULT_P, ridge: float = 0.0, clip=(0.01, 0.99)
-    ) -> NuisanceSpec:
+    def nuisance_spec(self, scenario: int, p: int = DEFAULT_P) -> NuisanceSpec:
         return NuisanceSpec(
             propensity_map=_propensity_map(self.propensity_correct, scenario, p),
             outcome_map=_outcome_map(self.outcome_correct, p),
-            ridge=ridge,
-            clip=clip,
         )
 
 
@@ -233,12 +228,9 @@ def _fit_method_rule(
         prop = nspec.fit_propensity(data)
         cfg = replace(earl_cfg, loss="hinge", seed=fit_seed)
         return owl_fit(data, prop, cfg).rule
-    if method == "aipwe":
-        prop, out = nspec.fit(data)
-        return aipwe_direct_search(
-            data, prop, out, replace(search_cfg, seed=fit_seed)
-        ).rule
-    raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    # "aipwe": run_experiment has rejected every other name
+    prop, out = nspec.fit(data)
+    return aipwe_direct_search(data, prop, out, replace(search_cfg, seed=fit_seed)).rule
 
 
 def run_experiment(

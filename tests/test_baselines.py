@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,35 @@ def test_search_is_deterministic():
     assert a.rule.beta0 == b.rule.beta0
     assert np.array_equal(a.rule.beta, b.rule.beta)
     assert a.diagnostics["best_history"] == b.diagnostics["best_history"]
+
+
+def _same_search(a, b) -> bool:
+    return (
+        a.rule.beta0 == b.rule.beta0
+        and np.array_equal(a.rule.beta, b.rule.beta)
+        and a.diagnostics == b.diagnostics
+    )
+
+
+def test_search_without_an_outcome_model_seeds_a_random_genome():
+    d, prop, _ = _search_setup()
+    cfg = SearchConfig(population=20, generations=5, seed=4)
+    a = aipwe_direct_search(d, prop, None, cfg)
+    assert _same_search(a, aipwe_direct_search(d, prop, None, cfg))
+    # the seed genome is drawn from the search's stream
+    other = aipwe_direct_search(d, prop, None, replace(cfg, seed=5))
+    assert other.diagnostics["seed_rule_aipwe"] != a.diagnostics["seed_rule_aipwe"]
+
+
+def test_search_seeds_the_constant_rule_for_a_treatment_free_outcome_map():
+    # the contrast of a map with no treatment term is 0, so the seed treats everyone
+    d, prop, _ = _search_setup()
+    out = fit_outcome(d, FeatureMap.linear(d.p))
+    cfg = SearchConfig(population=20, generations=5, seed=4)
+    a = aipwe_direct_search(d, prop, out, cfg)
+    assert _same_search(a, aipwe_direct_search(d, prop, out, cfg))
+    w_pos, _ = dr_weights(d, prop, out)
+    assert abs(a.diagnostics["seed_rule_aipwe"] - float(np.mean(w_pos))) < 1e-12
 
 
 def test_search_history_never_decreases():

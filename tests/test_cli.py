@@ -555,3 +555,56 @@ def test_fit_cv_imports_no_scipy(tmp_path, train_csv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 []"
+
+
+def test_feature_map_names_ignore_case(tmp_path, train_csv, capsys):
+    def fit(name, *maps):
+        flags = [f for flag, m in zip(("--rule-features", "--propensity-features", "--outcome-features"), maps)
+                 for f in (flag, m)]
+        return _exit_code(["fit", "--input", train_csv, "--output", str(tmp_path / name), "--lambda", "1", *flags])
+
+    assert fit("lower.json", "linear", "linear", "linear*a") == cli.EXIT_OK
+    assert fit("upper.json", "LINEAR", "Linear", "LINEAR*A") == cli.EXIT_OK
+    assert (tmp_path / "lower.json").read_bytes() == (tmp_path / "upper.json").read_bytes()
+    for maps in (("cubic",), ("linear", "cubic"), ("linear", "linear", "cubic*a")):
+        assert fit("bad.json", *maps) == cli.EXIT_CONFIG
+        assert _one_error_line(capsys, "unknown feature map name", "cubic")
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_qlearning_rejects_a_rule_map_with_treatment(tmp_path, train_csv, capsys):
+    out = tmp_path / "rule.json"
+    rc = _exit_code(["fit", "--input", train_csv, "--output", str(out), "--method", "qlearning",
+                     "--rule-features", "linear*a"])
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, "rule feature map must be over x only")
+    assert not out.exists()
+
+
+def test_permtest_all_covariates_equals_listing_each(tmp_path):
+    d = generate_scenario(ScenarioSpec(2, 120, p=4), 8)
+    save_csv(d, tmp_path / "d.csv")
+    args = ["permtest", "--input", str(tmp_path / "d.csv"), "--b", "5", "--seed", "2", "--lambda", "1"]
+    assert cli.main([*args, "--output", str(tmp_path / "all.csv"), "--covariates", "all"]) == 0
+    assert cli.main([*args, "--output", str(tmp_path / "each.csv"), "--covariates", "1,2,3,4"]) == 0
+    assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "each.csv").read_bytes()
+
+
+def test_evaluate_without_output_prints_the_report(tmp_path, train_csv, capsys):
+    rule_path = str(tmp_path / "rule.json")
+    assert cli.main(["fit", "--input", train_csv, "--output", rule_path, "--lambda", "1"]) == 0
+    args = ["evaluate", "--input", train_csv, "--rule", rule_path]
+    assert cli.main([*args, "--output", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
+
+
+def test_fit_on_a_single_arm_is_a_numerical_failure(tmp_path, capsys):
+    d = generate_scenario(ScenarioSpec(2, 60, p=3), 1)
+    save_csv(Dataset(d.X, np.ones(d.n), d.Y), tmp_path / "one_arm.csv")
+    out = tmp_path / "rule.json"
+    rc = _exit_code(["fit", "--input", str(tmp_path / "one_arm.csv"), "--output", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    assert _one_error_line(capsys, "same treatment")
+    assert not out.exists()

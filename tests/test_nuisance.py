@@ -167,6 +167,33 @@ def test_non_finite_or_huge_newton_step_is_a_numerical_error(monkeypatch, step):
         fit_propensity(d, FeatureMap.linear(d.p))
 
 
+def test_irls_halves_a_step_that_lowers_the_loglik(monkeypatch):
+    # a first Newton step 3x too long overshoots; halving it must recover
+    d = generate_scenario(ScenarioSpec(2, 200), 3)
+    fm = FeatureMap.linear(d.p)
+    ref = fit_propensity(d, fm)
+    solve, loglik = np.linalg.solve, nuisance_mod._penalized_loglik
+    calls = {"solve": 0, "loglik": 0}
+
+    def long_first_step(H, score):
+        calls["solve"] += 1
+        step = solve(H, score)
+        return 3.0 * step if calls["solve"] == 1 else step
+
+    def counted_loglik(*args):
+        calls["loglik"] += 1
+        return loglik(*args)
+
+    monkeypatch.setattr(nuisance_mod.np.linalg, "solve", long_first_step)
+    monkeypatch.setattr(nuisance_mod, "_penalized_loglik", counted_loglik)
+    m = fit_propensity(d, fm)
+    # one evaluation per accepted point, and more only where a step was halved
+    assert calls["loglik"] > len(m.loglik_path)
+    assert m.converged
+    assert np.all(np.diff(m.loglik_path) >= 0.0)
+    assert np.max(np.abs(m.gamma - ref.gamma)) < 1e-10
+
+
 def test_outcome_constant_fit():
     d = Dataset(np.random.default_rng(3).normal(size=(30, 2)), np.tile([1, -1], 15), np.full(30, 4.5))
     fm = FeatureMap.linear(2).with_treatment()
