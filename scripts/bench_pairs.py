@@ -17,11 +17,16 @@ differ by more than it in the better direction. A gain holds where the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's IQR. The summary also says in how many pairs the
 two digests are equal. The script exits 1 if any run is not correct.
+
+Before the first pair the script byte-compiles each tree's src/, so that
+neither side's workers recompile the package from stale or missing .pyc
+files when PYTHONDONTWRITEBYTECODE is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -115,6 +120,8 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"bench_pairs {args.workload} seed={args.seed} seconds={bench['run_seconds']} pairs={args.pairs}")
+    for tree in trees.values():
+        compileall.compile_dir(tree / "src", quiet=1)
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

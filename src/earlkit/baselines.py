@@ -112,15 +112,19 @@ class SearchConfig:
 
 
 def _normalize_genomes(genomes: np.ndarray, fallback_axes: np.ndarray) -> np.ndarray:
-    """Rescale each row's coefficients (all but the intercept) to unit norm;
-    a row whose coefficients are near zero becomes its fallback axis."""
-    out = genomes.copy()
-    nb = np.linalg.norm(out[:, 1:], axis=1)
+    """Rescale each row's coefficients (all but the intercept) to unit norm,
+    in place; a row whose coefficients are near zero becomes its fallback
+    axis. Returns genomes."""
+    c = genomes[:, 1:]
+    # the arithmetic of np.linalg.norm(c, axis=1) on real input
+    nb = np.sqrt(np.add.reduce(c * c, axis=1))
     tiny = nb < 1e-12
-    out[:, 1:] /= np.where(tiny, 1.0, nb)[:, None]
-    out[tiny, 1:] = 0.0
-    out[tiny, 1 + fallback_axes[tiny]] = 1.0
-    return out
+    if tiny.any():
+        c[tiny] = 0.0
+        c[tiny, fallback_axes[tiny]] = 1.0
+        nb[tiny] = 1.0
+    c /= nb[:, None]
+    return genomes
 
 
 def _seed_genome(outcome: OutcomeModel, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,6 +171,7 @@ def aipwe_direct_search(
 
     m, k = config.population, _TOURNAMENT
     axes = np.arange(m) % p
+    rows = np.arange(2 * (m - 1))
     if outcome is not None:
         seed_genome = _seed_genome(outcome, p, rng)
     else:
@@ -181,13 +186,17 @@ def aipwe_direct_search(
     for _ in range(config.generations):
         # both tournaments of every child in one draw; argmax keeps the
         # first of tied entrants
-        entrants = rng.integers(0, m, size=(2, m - 1, k))
-        won = np.argmax(fit_vals[entrants], axis=-1)
-        parents = pop[np.take_along_axis(entrants, won[..., None], axis=-1)[..., 0]]
+        entrants = rng.integers(0, m, size=(2, m - 1, k)).reshape(-1, k)
+        won = entrants[rows, fit_vals[entrants].argmax(axis=1)].reshape(2, m - 1)
         mask = rng.random((m - 1, p + 1)) < 0.5
-        children = np.where(mask, parents[0], parents[1])
+        nxt = np.empty_like(pop)
+        nxt[0] = best_genome  # elitism
+        children = nxt[1:]
+        np.copyto(children, pop[won[1]])
+        np.copyto(children, pop[won[0]], where=mask)
         children += rng.normal(0.0, _MUTATION_SD, size=(m - 1, p + 1))
-        pop = np.vstack([best_genome, _normalize_genomes(children, axes[1:])])  # elitism
+        _normalize_genomes(children, axes[1:])
+        pop = nxt
         fit_vals = fitness(pop)
         gen_best = int(np.argmax(fit_vals))
         if float(fit_vals[gen_best]) > best_value:

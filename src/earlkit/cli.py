@@ -174,10 +174,11 @@ def _model(args: argparse.Namespace, p: int, **extra) -> tuple[bool, EarlConfig,
     use_cv, lam = _parse_lambda(args.lam)
     rule_fm = FeatureMap.from_name(str(args.rule_features), p, intercept=False)
     econf = EarlConfig(loss=str(args.loss), lam=lam, feature_map=rule_fm, seed=_seed(args), **extra)
-    out_name = str(args.outcome_features).strip().lower()
+    out_name = str(args.outcome_features)
+    no_outcome = out_name.strip().lower() in ("none", "null")
     nspec = NuisanceSpec(
         propensity_map=FeatureMap.from_name(str(args.propensity_features), p),
-        outcome_map=None if out_name in ("none", "null") else FeatureMap.from_name(out_name, p),
+        outcome_map=None if no_outcome else FeatureMap.from_name(out_name, p),
         ridge=args.ridge,
         clip=(args.clip_lo, args.clip_hi),
     )

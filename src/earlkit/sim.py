@@ -76,8 +76,13 @@ def propensity_true(scenario: int, X: np.ndarray) -> np.ndarray:
     return np.full(X.shape[0], SCENARIO_3_PROPENSITY)
 
 
+def _treatment_free(X: np.ndarray) -> np.ndarray:
+    """The outcome's rule-free part, sum_j x_j^2 + sum_j x_j."""
+    return np.sum(X**2, axis=1) + np.sum(X, axis=1)
+
+
 def outcome_mean(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return np.sum(X**2, axis=1) + np.sum(X, axis=1) + np.asarray(A, dtype=float) * contrast(X)
+    return _treatment_free(X) + np.asarray(A, dtype=float) * contrast(X)
 
 
 def generate_scenario(spec: ScenarioSpec, seed) -> Dataset:
@@ -101,15 +106,16 @@ def true_value_mc(rule, scenario: int, draws: int, seed, p: int = DEFAULT_P) -> 
         raise ConfigError(f"draws must be positive, got {draws}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.standard_normal((draws, p))
-    return _value_on(X, rule)
+    return _value_on(X, _treatment_free(X), rule)
 
 
-def _value_on(X: np.ndarray, rule) -> float:
+def _value_on(X: np.ndarray, free: np.ndarray, rule) -> float:
+    """Mean outcome of rule on the draws X, whose _treatment_free is free."""
     if isinstance(rule, LinearRule):
         d = rule.decide_many(X)
     else:
         d = np.asarray(rule(X))
-    return float(np.mean(outcome_mean(X, d)))
+    return float(np.mean(free + np.asarray(d, dtype=float) * contrast(X)))
 
 
 def optimal_rule(p: int = DEFAULT_P) -> LinearRule:
@@ -255,8 +261,9 @@ def run_experiment(
     independent derived RNG streams, so results are identical for any
     thread count. Run threads > 1 with OPENBLAS_NUM_THREADS=1 (or the
     equivalent for the BLAS in use): the workers otherwise stack on BLAS's
-    own threads, which made a default search at n=500 take 1.6 s instead
-    of 0.055 s on a busy 2-vCPU host. Even so, threads > 1 is no faster
+    own threads. On a 2-vCPU host, with two workers, some records of a
+    default search at n=500 took 1.0 s, where the search alone takes
+    0.027 s with one BLAS thread. Even so, threads > 1 is no faster
     there: a record's small-array numpy work holds the GIL, and 4
     replicates of scenarios 2-3 x CC/II x five methods at n=500 took 9.2 s
     on one thread and 13.1 s on two. A failing fit yields a record with a
@@ -279,9 +286,10 @@ def run_experiment(
         )
     earl_cfg = earl_config if earl_config is not None else EarlConfig(lam=DEFAULT_LAMBDA)
     search_cfg = search_config if search_config is not None else SearchConfig()
-    validation = {
-        s: stream(seed, 202, s).standard_normal((validation_draws, p)) for s in scenarios
-    }
+    validation = {}
+    for s in scenarios:
+        V = stream(seed, 202, s).standard_normal((validation_draws, p))
+        validation[s] = (V, _treatment_free(V))
 
     def one_cell(scenario: int, n: int, rep: int) -> list[ExperimentResult]:
         data = generate_scenario(ScenarioSpec(scenario, n, p=p), stream(seed, 101, scenario, n, rep))
@@ -304,7 +312,7 @@ def run_experiment(
                         search_cfg,
                         select,
                     )
-                    value = _value_on(validation[scenario], rule)
+                    value = _value_on(*validation[scenario], rule)
                 except (EarlError, np.linalg.LinAlgError) as exc:
                     err = str(exc)
                 records.append(

@@ -86,8 +86,8 @@ print(json.dumps({"correct": tag == "change" or args["--seconds"] == "0",
 '''
 
 
-@pytest.mark.parametrize("seconds,status", [(0, 0), (1, 1)])
-def test_main_alternates_the_trees_and_fails_on_an_incorrect_run(tmp_path, capsys, seconds, status):
+def _fake_trees(tmp_path, seconds) -> list[str]:
+    """A parent and a change tree whose benchmark command is _FAKE_RUN."""
     for tag in ("parent", "change"):
         tree = tmp_path / tag
         tree.mkdir()
@@ -95,10 +95,28 @@ def test_main_alternates_the_trees_and_fails_on_an_incorrect_run(tmp_path, capsy
         (tree / "run.py").write_text(_FAKE_RUN)
         (tree / "BENCHMARK.json").write_text(json.dumps(
             {"command": [sys.executable, "run.py"], "run_seconds": seconds, "end_to_end": END_TO_END}))
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "3", "--pairs", "3"]
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "3"]
+
+
+@pytest.mark.parametrize("seconds,status", [(0, 0), (1, 1)])
+def test_main_alternates_the_trees_and_fails_on_an_incorrect_run(tmp_path, capsys, seconds, status):
+    argv = [*_fake_trees(tmp_path, seconds), "--pairs", "3"]
     assert bench_pairs.main(argv) == status
     order = (tmp_path / "order.log").read_text().split()
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
     out = capsys.readouterr().out
     assert "digests equal in 3 of 3 pairs" in out
     assert f"runs not correct: {3 * seconds} of 6" in out
+
+
+def test_main_byte_compiles_each_trees_src_once_before_the_first_pair(tmp_path, monkeypatch):
+    compiled = []
+
+    def compile_dir(path, **kwargs):
+        assert not (tmp_path / "order.log").exists()  # no run has started
+        compiled.append(path)
+        return True
+
+    monkeypatch.setattr(bench_pairs.compileall, "compile_dir", compile_dir)
+    assert bench_pairs.main([*_fake_trees(tmp_path, 0), "--pairs", "2"]) == 0
+    assert sorted(compiled) == [tmp_path / "change" / "src", tmp_path / "parent" / "src"]

@@ -572,6 +572,16 @@ def test_feature_map_names_ignore_case(tmp_path, train_csv, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_unknown_feature_map_names_are_quoted_as_typed(tmp_path, train_csv, capsys):
+    out = tmp_path / "rule.json"
+    for flag, name in (("--rule-features", "CUBIC"), ("--propensity-features", "Cubic"),
+                       ("--outcome-features", "CUBIC*A")):
+        rc = _exit_code(["fit", "--input", train_csv, "--output", str(out), "--lambda", "1", flag, name])
+        assert rc == cli.EXIT_CONFIG
+        assert _one_error_line(capsys, f"unknown feature map name {name!r}")
+    assert not out.exists()
+
+
 def test_qlearning_rejects_a_rule_map_with_treatment(tmp_path, train_csv, capsys):
     out = tmp_path / "rule.json"
     rc = _exit_code(["fit", "--input", train_csv, "--output", str(out), "--method", "qlearning",

@@ -5,7 +5,7 @@ import pytest
 
 import earlkit.sim as sim_mod
 from earlkit.baselines import SearchConfig
-from earlkit.core import ConfigError
+from earlkit.core import ConfigError, LinearRule
 from earlkit.earl import EarlConfig
 from earlkit.nuisance import predict_propensity
 from earlkit.sim import (
@@ -56,6 +56,18 @@ def test_outcome_equation():
     resid = d.Y - outcome_mean(d.X, d.A)
     assert abs(float(np.mean(resid))) < 0.05
     assert abs(float(np.std(resid)) - 1.0) < 0.05
+
+
+def test_outcome_mean_and_true_value_share_one_formula():
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((500, 10))
+    A = np.where(rng.random(500) < 0.5, 1, -1)
+    assert np.array_equal(outcome_mean(X, A), np.sum(X**2, axis=1) + np.sum(X, axis=1) + A * contrast(X))
+    for seed in (1, 2, 3):
+        rule = LinearRule.raw(rng.normal(), rng.normal(size=10), 10)
+        draws = np.random.default_rng(seed).standard_normal((2000, 10))
+        expected = float(np.mean(outcome_mean(draws, rule.decide_many(draws))))
+        assert true_value_mc(rule, 2, 2000, seed) == expected
 
 
 def test_true_value_constant_rules():
