@@ -203,7 +203,7 @@ def aipwe_direct_search(
             best_value = float(fit_vals[gen_best])
             best_genome = pop[gen_best].copy()
         history.append(best_value)
-    rule = LinearRule.raw(best_genome[0], best_genome[1:], p)
+    rule = LinearRule.raw(best_genome[0], best_genome[1:])
     return BaselineFit(
         method="aipwe_direct",
         rule=rule,

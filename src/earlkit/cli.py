@@ -31,6 +31,7 @@ from .core import (
 )
 from .earl import DEFAULT_LAMBDA_GRID, EarlConfig, fit_earl_pipeline
 from .inference import DEFAULT_PERMUTATIONS, permutation_report
+from .losses import get_loss
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
 from .sim import DEFAULT_LAMBDA, run_experiment, write_results_csv
 from .value import value_aipwe, value_ipwe, value_ipwe_normalized
@@ -199,6 +200,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ConfigError("--lambda cv is supported by --method earl only")
     if k and method != "earl":
         raise ConfigError("--crossfit is supported by --method earl only")
+    if method == "qlearning":
+        # a Q-learning fit reads neither flag, so only their declared
+        # defaults (not a config file's) are accepted
+        declared = _command_parser(_build_parser(), "fit")
+        if get_loss(econf.loss) != get_loss(declared.get_default("loss")):
+            raise ConfigError("--loss is not used by --method qlearning")
+        if econf.lam != _parse_lambda(declared.get_default("lam"))[1]:
+            raise ConfigError("--lambda is not used by --method qlearning")
     selection = None
     per_fold = None
     if method == "earl":
@@ -443,6 +452,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -450,7 +463,7 @@ def main(argv=None) -> int:
         if args.config:
             # file values become the command's defaults, so flags still win and
             # every value passes through its flag's type
-            sp = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+            sp = _command_parser(parser, args.command)
             actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
             values = _load_config_file(args.config, set(actions))
             sp.set_defaults(**{

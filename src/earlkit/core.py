@@ -371,11 +371,10 @@ class LinearRule:
         object.__setattr__(self, "beta", _frozen_array(beta, float))
 
     @classmethod
-    def raw(cls, beta0: float, beta, p: int | None = None) -> "LinearRule":
-        """Rule linear in the raw covariates."""
+    def raw(cls, beta0: float, beta) -> "LinearRule":
+        """Rule linear in the raw covariates, one coefficient each."""
         beta = np.asarray(beta, dtype=float).reshape(-1)
-        p = beta.shape[0] if p is None else p
-        return cls(beta0, beta, FeatureMap.linear(p, intercept=False))
+        return cls(beta0, beta, FeatureMap.linear(beta.shape[0], intercept=False))
 
     @property
     def p(self) -> int:
@@ -459,10 +458,11 @@ def load_csv(path) -> Dataset:
     naming the row and column. The body is parsed by numpy's C reader;
     where that fails, or finds a non-finite cell, it is re-read cell by
     cell to report the error. A file that cannot be opened is a data error;
-    one that is not UTF-8 text is a parse error.
+    one that is not UTF-8 text is a parse error. A leading UTF-8 byte-order
+    mark, which Excel's "CSV UTF-8" writes, is skipped.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
     with fh:

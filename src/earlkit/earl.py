@@ -157,8 +157,12 @@ class EarlFit:
     n_iter: int
     grad_norm: float
     converged: bool
-    per_fold_rules: tuple[LinearRule, ...] | None = None
     fold_artifacts: tuple[FoldArtifact, ...] | None = None
+
+    @property
+    def per_fold_rules(self) -> tuple[LinearRule, ...] | None:
+        """Each cross-fitting fold's rule; None for a fit without folds."""
+        return None if self.fold_artifacts is None else tuple(a.rule for a in self.fold_artifacts)
 
 
 def _as_weight_arrays(weights, n: int) -> np.ndarray:
@@ -578,7 +582,6 @@ def earl_fit_crossfit(
                 objective_value=f,
             )
         )
-    rules = [a.rule for a in artifacts]
     b = np.mean(bs, axis=0)
     return EarlFit(
         rule=LinearRule(b[0], b[1:], fm),
@@ -589,7 +592,6 @@ def earl_fit_crossfit(
         n_iter=sum(it for it, _, _ in status),
         grad_norm=max(gn for _, gn, _ in status),
         converged=all(ok for _, _, ok in status),
-        per_fold_rules=tuple(rules),
         fold_artifacts=tuple(artifacts),
     )
 

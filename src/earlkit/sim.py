@@ -94,18 +94,21 @@ def generate_scenario(spec: ScenarioSpec, seed) -> Dataset:
     return Dataset(X, A, Y)
 
 
-def true_value_mc(rule, scenario: int, draws: int, seed, p: int = DEFAULT_P) -> float:
-    """Monte Carlo estimate of the true value of a rule on fresh draws.
+def true_value_mc(rule, scenario: int, draws: int, seed) -> float:
+    """Monte Carlo estimate of the true value of a rule on fresh draws
+    of X ~ N(0, I_10).
 
     The mean-zero noise is omitted since it averages out. rule may be a
-    LinearRule or any callable mapping an n x p matrix to signs.
+    LinearRule or any callable mapping an n x 10 matrix to signs. The
+    three scenarios share the outcome model, so scenario is only
+    validated.
     """
     if scenario not in (1, 2, 3):
         raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario}")
     if draws < 1:
         raise ConfigError(f"draws must be positive, got {draws}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    X = rng.standard_normal((draws, p))
+    X = rng.standard_normal((draws, DEFAULT_P))
     return _value_on(X, _treatment_free(X), rule)
 
 
@@ -118,28 +121,28 @@ def _value_on(X: np.ndarray, free: np.ndarray, rule) -> float:
     return float(np.mean(free + np.asarray(d, dtype=float) * contrast(X)))
 
 
-def optimal_rule(p: int = DEFAULT_P) -> LinearRule:
+def optimal_rule() -> LinearRule:
     """sgn{c(x)}, the value-maximizing rule."""
-    beta = np.zeros(p)
+    beta = np.zeros(DEFAULT_P)
     beta[0] = beta[1] = 1.0
-    return LinearRule.raw(-0.1, beta, p)
+    return LinearRule.raw(-0.1, beta)
 
 
-def true_propensity_model(scenario: int, p: int = DEFAULT_P, clip=(0.01, 0.99)) -> PropensityModel:
+def true_propensity_model(scenario: int) -> PropensityModel:
     """The data-generating propensity wrapped as a fitted-model object."""
     if scenario in (1, 2):
-        fm = _propensity_map(True, scenario, p)
+        fm = _propensity_map(True, scenario)
         gamma = np.array([0.0, 1.0, 1.0, 1.0] if scenario == 1 else [-0.5, 0.5])
     else:
-        fm = FeatureMap.intercept_only(p)
+        fm = FeatureMap.intercept_only(DEFAULT_P)
         pi = SCENARIO_3_PROPENSITY
         gamma = np.array([math.log(pi / (1 - pi))])
-    return PropensityModel(feature_map=fm, gamma=gamma, clip=clip)
+    return PropensityModel(feature_map=fm, gamma=gamma)
 
 
-def true_outcome_model(p: int = DEFAULT_P) -> OutcomeModel:
+def true_outcome_model() -> OutcomeModel:
     """The data-generating conditional mean wrapped as a fitted-model object."""
-    fm = _outcome_map(correct=True, p=p)
+    fm = _outcome_map(correct=True)
     theta = np.zeros(fm.q)
     for i, term in enumerate(fm.terms):
         if term[0] in ("x", "x2"):
@@ -151,20 +154,20 @@ def true_outcome_model(p: int = DEFAULT_P) -> OutcomeModel:
     return OutcomeModel(feature_map=fm, theta=theta)
 
 
-def _propensity_map(correct: bool, scenario: int, p: int) -> FeatureMap:
+def _propensity_map(correct: bool, scenario: int) -> FeatureMap:
     if correct:
         if scenario == 1:
-            return FeatureMap(p, (("1",), ("x", 0), ("x", 1), ("xx", 0, 1)))
-        return FeatureMap(p, (("1",), ("x", 0)))
+            return FeatureMap(DEFAULT_P, (("1",), ("x", 0), ("x", 1), ("xx", 0, 1)))
+        return FeatureMap(DEFAULT_P, (("1",), ("x", 0)))
     if scenario == 1:
-        return FeatureMap.linear(p, intercept=True)
-    return FeatureMap.intercept_only(p)
+        return FeatureMap.linear(DEFAULT_P, intercept=True)
+    return FeatureMap.intercept_only(DEFAULT_P)
 
 
-def _outcome_map(correct: bool, p: int) -> FeatureMap:
+def _outcome_map(correct: bool) -> FeatureMap:
     if correct:
-        return FeatureMap.quadratic(p, intercept=True).with_treatment(coords=(0, 1))
-    return FeatureMap.linear(p, intercept=True).with_treatment()
+        return FeatureMap.quadratic(DEFAULT_P, intercept=True).with_treatment(coords=(0, 1))
+    return FeatureMap.linear(DEFAULT_P, intercept=True).with_treatment()
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,10 @@ class ModelSpec:
     def outcome_correct(self) -> bool:
         return self.code[1] == "C"
 
-    def nuisance_spec(self, scenario: int, p: int = DEFAULT_P) -> NuisanceSpec:
+    def nuisance_spec(self, scenario: int) -> NuisanceSpec:
         return NuisanceSpec(
-            propensity_map=_propensity_map(self.propensity_correct, scenario, p),
-            outcome_map=_outcome_map(self.outcome_correct, p),
+            propensity_map=_propensity_map(self.propensity_correct, scenario),
+            outcome_map=_outcome_map(self.outcome_correct),
         )
 
 
@@ -251,7 +254,6 @@ def run_experiment(
     earl_config: EarlConfig | None = None,
     search_config: SearchConfig | None = None,
     select: str = "cv",
-    p: int = DEFAULT_P,
 ) -> list[ExperimentResult]:
     """Run the full benchmark grid and return one record per cell.
 
@@ -288,11 +290,11 @@ def run_experiment(
     search_cfg = search_config if search_config is not None else SearchConfig()
     validation = {}
     for s in scenarios:
-        V = stream(seed, 202, s).standard_normal((validation_draws, p))
+        V = stream(seed, 202, s).standard_normal((validation_draws, DEFAULT_P))
         validation[s] = (V, _treatment_free(V))
 
     def one_cell(scenario: int, n: int, rep: int) -> list[ExperimentResult]:
-        data = generate_scenario(ScenarioSpec(scenario, n, p=p), stream(seed, 101, scenario, n, rep))
+        data = generate_scenario(ScenarioSpec(scenario, n), stream(seed, 101, scenario, n, rep))
         records = []
         for method in methods:
             for mspec in spec_list:
@@ -306,7 +308,7 @@ def run_experiment(
                     rule = _fit_method_rule(
                         method,
                         data,
-                        mspec.nuisance_spec(scenario, p=p),
+                        mspec.nuisance_spec(scenario),
                         fit_seed,
                         earl_cfg,
                         search_cfg,

@@ -243,7 +243,7 @@ def test_search_matches_threshold_oracle_in_1d():
     best = -np.inf
     for c in cuts:
         for sign in (1.0, -1.0):
-            rule = LinearRule.raw(-sign * c, [sign], p=1)
+            rule = LinearRule.raw(-sign * c, [sign])
             best = max(best, value_aipwe(d, rule, prop, out).estimate)
 
     bl = aipwe_direct_search(d, prop, out, SearchConfig(population=50, generations=120, seed=2))

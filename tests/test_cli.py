@@ -618,3 +618,61 @@ def test_fit_on_a_single_arm_is_a_numerical_failure(tmp_path, capsys):
     assert rc == cli.EXIT_NUMERIC
     assert _one_error_line(capsys, "same treatment")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,fragment", [
+    ("fit", "fit requires --input and --output"),
+    ("evaluate", "evaluate requires --input and --rule"),
+    ("simulate", "simulate requires --output"),
+    ("permtest", "permtest requires --input and --output"),
+])
+def test_a_command_without_its_files_is_a_config_error(capsys, command, fragment):
+    assert cli.main([command]) == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("flags,env,fragment", [
+    ([], "abc", "EARL_SEED must be an integer, got 'abc'"),
+    (["--lambda", "abc"], None, "--lambda must be a number or 'cv', got 'abc'"),
+    (["--lambda", "cv", "--lambda-grid", "1,x"], None, "could not parse lambda grid '1,x'"),
+    (["--method", "qlearning", "--outcome-features", "none"], None, "qlearning requires outcome features"),
+])
+def test_fit_rejects_a_malformed_setting(tmp_path, train_csv, capsys, monkeypatch, flags, env, fragment):
+    if env is not None:
+        monkeypatch.setenv("EARL_SEED", env)
+    out = tmp_path / "rule.json"
+    assert cli.main(["fit", "--input", train_csv, "--output", str(out), *flags]) == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,config,flag", [
+    (["--loss", "hinge"], {}, "--loss"),
+    (["--lambda", "5"], {}, "--lambda"),
+    ([], {"loss": "exp"}, "--loss"),
+    ([], {"lambda": 0.5}, "--lambda"),
+])
+def test_qlearning_rejects_a_loss_or_lambda_it_does_not_use(tmp_path, train_csv, capsys, flags, config, flag):
+    cfg = _json_path(tmp_path, config)
+    out = tmp_path / "rule.json"
+    rc = cli.main(["fit", "--input", train_csv, "--output", str(out), "--method", "qlearning",
+                   "--config", str(cfg), *flags])
+    assert rc == cli.EXIT_CONFIG
+    assert _one_error_line(capsys, flag, "--method qlearning")
+    assert not out.exists()
+
+
+def test_qlearning_accepts_the_declared_loss_and_lambda(tmp_path, train_csv):
+    args = ["fit", "--input", train_csv, "--method", "qlearning"]
+    assert cli.main([*args, "--output", str(tmp_path / "bare.json")]) == 0
+    assert cli.main([*args, "--output", str(tmp_path / "stated.json"), "--loss", "Logistic", "--lambda", "1.0"]) == 0
+    assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "stated.json").read_bytes()
+
+
+def test_simulate_config_takes_specs_as_a_json_list(tmp_path):
+    args = ["simulate", "--methods", "qlearning", "--n-grid", "120", "--replicates", "1",
+            "--validation-draws", "100", "--select", "fixed"]
+    assert cli.main([*args, "--output", str(tmp_path / "flag.csv"), "--specs", "CC,II"]) == 0
+    cfg = _json_path(tmp_path, {"specs": ["CC", "II"]})
+    assert cli.main([*args, "--output", str(tmp_path / "config.csv"), "--config", str(cfg)]) == 0
+    assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()

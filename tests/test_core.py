@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from earlkit.core import (
+    ConfigError,
     DataError,
     Dataset,
     FeatureMap,
@@ -295,3 +296,66 @@ def test_rule_coefficient_lookup():
     assert rule.coefficient(1) == 2.0
     assert rule.coefficient(3) == 3.0
     assert rule.coefficient(0) == 0.0
+
+
+_FM3 = FeatureMap.linear(3)
+
+
+@pytest.mark.parametrize(
+    "build,error,fragment",
+    [
+        (lambda: Dataset(np.zeros((2, 2, 2)), [1, 1], [0.0, 0.0]), ShapeError, "X must be 2-d"),
+        (lambda: Dataset(np.zeros((0, 3)), [], []), DataError, "need n >= 1"),
+        (lambda: Dataset(np.zeros((3, 2)), [1, 1], [0.0] * 3), ShapeError, "got (2,) and (3,)"),
+        (lambda: Dataset(np.zeros((3, 2)), [1, 1, 1], [0.0] * 2), ShapeError, "got (3,) and (2,)"),
+        (lambda: FeatureMap(0, ()), ConfigError, "needs p >= 1, got 0"),
+        (lambda: FeatureMap(2, (("z", 0),)), ConfigError, "unknown feature term kind 'z'"),
+        (lambda: FeatureMap(3, (("xx", 2, 1),)), ConfigError, "must have i < j"),
+        (lambda: _FM3.design(np.zeros((2, 4))), ShapeError, "expected covariate dimension 3, got 4"),
+        (lambda: _FM3.with_treatment().design(np.zeros((2, 3))), ShapeError, "A was not given"),
+        (lambda: _FM3.with_treatment().design(np.zeros((2, 3)), [1, 1, 1]), ShapeError, "A has length 3, expected 2"),
+        (
+            lambda: LinearRule(0.0, np.zeros(2), FeatureMap.linear(1, intercept=False).with_treatment()),
+            ConfigError,
+            "may not use treatment terms",
+        ),
+        (lambda: LinearRule(0.0, np.zeros(4), _FM3), ConfigError, "may not carry an intercept"),
+        (lambda: LinearRule(0.0, np.zeros(2), FeatureMap.linear(3, intercept=False)), ShapeError, "beta has length 2"),
+        (lambda: LinearRule.raw(np.nan, [1.0]), DataError, "coefficients must be finite"),
+        (lambda: LinearRule.raw(0.0, [np.inf]), DataError, "coefficients must be finite"),
+    ],
+    ids=[
+        "dataset-3d", "dataset-n0", "dataset-A", "dataset-Y", "map-p0", "map-kind", "map-xx",
+        "design-p", "design-no-A", "design-A-length", "rule-treatment", "rule-intercept",
+        "rule-beta-length", "rule-nan-intercept", "rule-inf-beta",
+    ],
+)
+def test_constructors_reject_malformed_input(build, error, fragment):
+    with pytest.raises(error) as exc:
+        build()
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ("y,a", "header must be y,a,x1,...,xp with p >= 1"),
+        ("y,a,x1,x3", "missing column 'x2'"),
+        ("a,y,x1", "header must be y,a,x1, got a,y,x1"),
+    ],
+)
+def test_load_csv_rejects_a_malformed_header(tmp_path, header, message):
+    path = _write(tmp_path, header + "\n1.0,1,0.5,0.5\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    body = b"y,a,x1\n1,1,0.5\n2,-1,0.1\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(body)
+    bom.write_bytes(b"\xef\xbb\xbf" + body)
+    d, e = load_csv(plain), load_csv(bom)
+    assert d.X.tobytes() == e.X.tobytes() and d.Y.tobytes() == e.Y.tobytes()
+    assert np.array_equal(d.A, e.A)

@@ -26,6 +26,7 @@ from earlkit.earl import (
     earl_fit,
     earl_fit_crossfit,
     earl_objective,
+    fit_earl_pipeline,
     select_lambda,
 )
 from earlkit.losses import phi_eval, phi_grad, phi_hess
@@ -71,7 +72,7 @@ def test_objective_at_zero_rule():
 
 def test_objective_single_subject_hinge():
     d = Dataset(np.array([[1.0]]), [1], [2.0])
-    rule = LinearRule.raw(2.0, [0.0], p=1)  # f(x) = 2
+    rule = LinearRule.raw(2.0, [0.0])  # f(x) = 2
     assert earl_objective(rule, [WeightPair(4.0, 0.0)], d, "hinge", 0.0) == 0.0
 
 
@@ -792,6 +793,28 @@ def test_config_rejects_a_lambda_whose_ridge_term_overflows(kwargs):
     top = np.finfo(float).max / 2.0
     assert np.isfinite(2.0 * top)
     EarlConfig(lam=top, lambda_grid=(1.0, top))
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda d: EarlConfig(cv_folds=1), ConfigError, "cv_folds must be at least 2, got 1"),
+        (lambda d: EarlConfig(lambda_grid=()), ConfigError, "lambda_grid must be nonempty"),
+        (lambda d: earl_fit(d, (np.ones(3), np.ones(3)), EarlConfig()), DataError, "align with the 40 data rows"),
+        (lambda d: earl_fit(d, (np.full(40, np.nan), np.ones(40)), EarlConfig()), DataError, "must be finite"),
+        (
+            lambda d: fit_earl_pipeline(d, _cc_spec(), EarlConfig(), select="bogus"),
+            ConfigError,
+            "select must be 'fixed' or 'cv', got 'bogus'",
+        ),
+    ],
+    ids=["cv-folds", "empty-grid", "misaligned-weights", "nan-weights", "select"],
+)
+def test_estimator_inputs_are_checked(call, error, fragment):
+    d, _ = _data(40, 2)
+    with pytest.raises(error) as exc:
+        call(d)
+    assert fragment in str(exc.value)
 
 
 def test_select_lambda_needs_enough_rows():

@@ -6,6 +6,7 @@ import pytest
 from earlkit.core import ConfigError, DomainError
 from earlkit.losses import (
     LOSS_NAMES,
+    SurrogateLoss,
     get_loss,
     phi_eval,
     phi_grad,
@@ -162,6 +163,13 @@ def test_psi_domain_errors():
         psi_inverse("hinge", 1.5)
     with pytest.raises(DomainError):
         psi_inverse("exp", -0.2)
+
+
+def test_loss_names_are_checked():
+    with pytest.raises(ConfigError, match="unknown surrogate loss 'bogus'"):
+        SurrogateLoss("bogus")
+    with pytest.raises(ConfigError, match="hinge loss has no second derivative"):
+        phi_hess("hinge", 0.0)
 
 
 def test_psi_inverse_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit, logit
 
 import earlkit.nuisance as nuisance_mod
-from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap, NumericalError
+from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap, NumericalError, ShapeError
 from earlkit.earl import _partition
 from earlkit.nuisance import (
     OutcomeModel,
@@ -113,6 +113,27 @@ def test_bad_clip_rejected():
         PropensityModel(FeatureMap.intercept_only(1), [0.0], clip=(0.0, 0.5))
     with pytest.raises(DomainError):
         PropensityModel(FeatureMap.intercept_only(1), [0.0], clip=(0.5, 1.0))
+
+
+_FM3 = FeatureMap.linear(3)
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: PropensityModel(_FM3.with_treatment(), np.zeros(8)), ShapeError, "must be over x only"),
+        (lambda: PropensityModel(_FM3, np.zeros(2)), ShapeError, "gamma has length 2, map has 4 terms"),
+        (lambda: PropensityModel(_FM3, np.zeros(4)).prob(np.zeros((1, 3)), 0), DomainError, "arm must be -1 or +1, got 0"),
+        (lambda: fit_propensity(_balanced_data(p=3), _FM3, ridge=-1), DomainError, "ridge must be nonnegative"),
+        (lambda: OutcomeModel(_FM3, np.zeros(2)), ShapeError, "theta has length 2, map has 4 terms"),
+        (lambda: predict_q(OutcomeModel(_FM3, np.zeros(4)), np.zeros(3), 0), DomainError, "arm must be -1 or +1, got 0"),
+    ],
+    ids=["propensity-treatment", "gamma-length", "prob-arm", "negative-ridge", "theta-length", "predict-q-arm"],
+)
+def test_model_inputs_are_checked(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)
 
 
 def test_irls_loglik_nondecreasing():
@@ -291,7 +312,7 @@ def test_predict_q_zero_and_intercept_models():
 def _outcome_map(name, scenario, p):
     if name == "linear*a":
         return FeatureMap.from_name(name, p)
-    return ModelSpec(name).nuisance_spec(scenario, p).outcome_map
+    return ModelSpec(name).nuisance_spec(scenario).outcome_map
 
 
 def _split_outcome_fits(scenario, n, name):

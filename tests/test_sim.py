@@ -64,7 +64,7 @@ def test_outcome_mean_and_true_value_share_one_formula():
     A = np.where(rng.random(500) < 0.5, 1, -1)
     assert np.array_equal(outcome_mean(X, A), np.sum(X**2, axis=1) + np.sum(X, axis=1) + A * contrast(X))
     for seed in (1, 2, 3):
-        rule = LinearRule.raw(rng.normal(), rng.normal(size=10), 10)
+        rule = LinearRule.raw(rng.normal(), rng.normal(size=10))
         draws = np.random.default_rng(seed).standard_normal((2000, 10))
         expected = float(np.mean(outcome_mean(draws, rule.decide_many(draws))))
         assert true_value_mc(rule, 2, 2000, seed) == expected
@@ -284,3 +284,23 @@ def test_scenario_spec_validation():
         ScenarioSpec(4, 100)
     with pytest.raises(ConfigError):
         ScenarioSpec(1, 0)
+    with pytest.raises(ConfigError, match="need p >= 2 for the contrast"):
+        ScenarioSpec(2, 10, p=1)
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: true_value_mc(optimal_rule(), 4, 10, 0), "scenario must be 1, 2, or 3, got 4"),
+        (lambda: true_value_mc(optimal_rule(), 2, 0, 0), "draws must be positive, got 0"),
+        (
+            lambda: run_experiment(scenarios=[], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1),
+            "must be nonempty",
+        ),
+    ],
+    ids=["scenario", "draws", "no-scenarios"],
+)
+def test_oracle_and_runner_inputs_are_checked(call, fragment):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert fragment in str(exc.value)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_population_mean_weight_matches_q_expectation():
     # with the true propensity and true Q plugged in, E[W_1] = E[Q(X, 1)] = 9.9
     n = 10**6
     d = generate_scenario(ScenarioSpec(2, n), 2024)
-    prop = true_propensity_model(2, clip=(1e-6, 1 - 1e-6))
+    prop = replace(true_propensity_model(2), clip=(1e-6, 1 - 1e-6))
     out = true_outcome_model()
     w_pos, w_neg = dr_weights(d, prop, out)
     se_pos = w_pos.std() / np.sqrt(n)
