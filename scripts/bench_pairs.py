@@ -15,8 +15,14 @@ pairs the change wins by the metric's "better" direction (ties count for
 neither side), the parent's interquartile range, and whether the medians
 differ by more than it in the better direction. A gain holds where the
 change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's IQR. The summary also says in how many pairs the
-two digests are equal. The script exits 1 if any run is not correct.
+more than the parent's IQR. It also applies the no-regression test to
+each metric: "yes" where the change's median is worse than the parent's by
+more than the metric's "bound" times the parent's median, "no" where it is
+not, and "unresolved" where the parent's IQR exceeds that same share of
+its median, so the runs spread too widely to tell, unless every run of
+the change is better than every run of the parent. The summary also says
+in how many pairs the two digests are equal. The script exits 1 if any run
+is not correct, whatever the other findings.
 
 Before the first pair the script byte-compiles each tree's src/, so that
 neither side's workers recompile the package from stale or missing .pyc
@@ -72,6 +78,11 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
         new = [c["metrics"][name] for _, c in pairs]
         old_q, new_q = quartiles(old), quartiles(new)
         iqr = old_q[2] - old_q[0]
+        allowed = spec["bound"] * abs(old_q[1])
+        if iqr > allowed and not all(sign * (c - p) > 0 for c in new for p in old):
+            worse = "unresolved"
+        else:
+            worse = "yes" if sign * (old_q[1] - new_q[1]) > allowed else "no"
         rows.append({
             "name": name,
             "unit": spec["unit"],
@@ -82,6 +93,8 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
             "losses": sum(sign * (c - p) < 0 for p, c in zip(old, new)),
             "parent_iqr": iqr,
             "beyond_iqr": sign * (new_q[1] - old_q[1]) > iqr,
+            "bound": spec["bound"],
+            "worse_beyond_bound": worse,
         })
     return {
         "pairs": len(pairs),
@@ -101,7 +114,8 @@ def format_summary(s: dict) -> list[str]:
         gain = r["wins"] >= 0.9 * n and r["beyond_iqr"]
         out.append(f"{r['name']:12s} {r['better']:6s} {old:>32s} {new:>32s}"
                    f" {r['wins']:>3d}/{n:<3d} {r['parent_iqr']:10.4g}  {'yes' if gain else 'no'}"
-                   f" ({r['losses']} losses; medians differ beyond the IQR: {'yes' if r['beyond_iqr'] else 'no'})")
+                   f" ({r['losses']} losses; medians differ beyond the IQR: {'yes' if r['beyond_iqr'] else 'no'});"
+                   f" worse beyond the {r['bound']:.0%} bound: {r['worse_beyond_bound']}")
     out.append(f"digests equal in {s['digests_equal']} of {n} pairs")
     out.append(f"runs not correct: {s['incorrect_runs']} of {2 * n}")
     return out

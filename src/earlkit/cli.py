@@ -2,8 +2,8 @@
 simulation grid, and run permutation inference.
 
 Configuration may come from a JSON file (--config) whose keys are the
-command's flag names with underscores; its values are type-checked like
-flags, flags win over them, and unknown keys are rejected. Exit codes:
+command's flag names with underscores; each value is parsed as its flag's
+text, flags win over them, and unknown keys are rejected. Exit codes:
 0 success, 2 config error, 3 data error, 4 numerical failure. The
 EARL_SEED environment variable supplies the default seed.
 """
@@ -43,16 +43,19 @@ EXIT_NUMERIC = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    """Writes text to path by way of a temporary file beside it. An OSError
+    is a DataError naming path, and no temporary file is left behind."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _dump_json(obj) -> str:
@@ -72,7 +75,7 @@ def _propensity_from_json(obj: dict) -> PropensityModel:
     return PropensityModel(
         feature_map=FeatureMap.from_jsonable(obj["feature_map"]),
         gamma=np.asarray(obj["gamma"], dtype=float),
-        clip=(float(obj["clip"][0]), float(obj["clip"][1])),
+        clip=obj["clip"],
         ridge=float(obj.get("ridge", 0.0)),
     )
 
@@ -125,16 +128,30 @@ def _read_json(path: str, error: type[EarlError], what: str):
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _load_config_file(path: str, known: set[str]) -> dict:
+def _load_config_file(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The command's flags that config file path sets, as --flag=value text.
+    A key is its flag's name with underscores; a list is its entries joined
+    by commas, null leaves the flag unset, and true and false suit only a
+    flag that takes no value (true gives the bare flag)."""
     obj = _read_json(path, ConfigError, "config file")
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    if "lambda" in obj:  # JSON key "lambda" maps to the lam flag
-        obj["lam"] = obj.pop("lambda")
-    unknown = sorted(set(obj) - known)
+    actions = {a.option_strings[-1][2:].replace("-", "_"): a
+               for a in command._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(obj) - set(actions))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return obj
+    flags = []
+    for key, value in obj.items():
+        flag = actions[key].option_strings[-1]
+        if isinstance(value, bool):
+            if actions[key].nargs != 0:
+                raise ConfigError(f"config file {path}: {key} cannot be true or false")
+            flags += [flag] if value else []
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            flags.append(f"{flag}={text}")
+    return flags
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -148,11 +165,9 @@ def _seed(args: argparse.Namespace) -> int:
         raise ConfigError(f"EARL_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_lambda(text) -> tuple[bool, float]:
+def _parse_lambda(text: str) -> tuple[bool, float]:
     """Returns (use_cv, fixed_value)."""
-    if isinstance(text, (int, float)):
-        return False, float(text)
-    if str(text).strip().lower() == "cv":
+    if text.strip().lower() == "cv":
         return True, 0.0
     try:
         return False, float(text)
@@ -160,11 +175,9 @@ def _parse_lambda(text) -> tuple[bool, float]:
         raise ConfigError(f"--lambda must be a number or 'cv', got {text!r}") from None
 
 
-def _parse_grid(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in str(text).split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"could not parse lambda grid {text!r}") from None
 
@@ -173,13 +186,12 @@ def _model(args: argparse.Namespace, p: int, **extra) -> tuple[bool, EarlConfig,
     """(use_cv, EarlConfig, NuisanceSpec) named by the model flags; extra
     holds further EarlConfig fields."""
     use_cv, lam = _parse_lambda(args.lam)
-    rule_fm = FeatureMap.from_name(str(args.rule_features), p, intercept=False)
-    econf = EarlConfig(loss=str(args.loss), lam=lam, feature_map=rule_fm, seed=_seed(args), **extra)
-    out_name = str(args.outcome_features)
-    no_outcome = out_name.strip().lower() in ("none", "null")
+    rule_fm = FeatureMap.from_name(args.rule_features, p, intercept=False)
+    econf = EarlConfig(loss=args.loss, lam=lam, feature_map=rule_fm, seed=_seed(args), **extra)
+    no_outcome = args.outcome_features.strip().lower() in ("none", "null")
     nspec = NuisanceSpec(
-        propensity_map=FeatureMap.from_name(str(args.propensity_features), p),
-        outcome_map=None if no_outcome else FeatureMap.from_name(out_name, p),
+        propensity_map=FeatureMap.from_name(args.propensity_features, p),
+        outcome_map=None if no_outcome else FeatureMap.from_name(args.outcome_features, p),
         ridge=args.ridge,
         clip=(args.clip_lo, args.clip_hi),
     )
@@ -292,10 +304,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_csv(text) -> list[str]:
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+def _split_csv(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _int_list(text, flag: str, hi: int | None = None) -> list[int]:
@@ -337,7 +347,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         select=args.select,
     )
     buf = io.StringIO()
-    write_results_csv(results, buf, timings=bool(args.timings))
+    write_results_csv(results, buf, timings=args.timings)
     _atomic_write(args.output, buf.getvalue())
     return EXIT_OK
 
@@ -353,7 +363,7 @@ def cmd_permtest(args: argparse.Namespace) -> int:
     def pipeline(d):
         return fit_earl_pipeline(d, nspec, econf).fit.rule
 
-    if str(args.covariates).strip().lower() == "all":
+    if args.covariates.strip().lower() == "all":
         covs = None
     else:
         covs = [j - 1 for j in _int_list(args.covariates, "--covariates", data.p)]  # 1-based on the CLI
@@ -388,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="file to write: the rule artifact JSON or the p-value CSV")
         seed(sp)
         sp.add_argument("--loss", default="logistic", help="hinge | exp | logistic | sqhinge")
-        sp.add_argument("--lambda", dest="lam", default=1.0, help="penalty weight; fit also takes 'cv'")
+        sp.add_argument("--lambda", dest="lam", default="1.0", help="penalty weight; fit also takes 'cv'")
         sp.add_argument(
             "--rule-features", dest="rule_features", default="linear", help="feature map of the rule"
         )
@@ -408,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["earl", "owl", "qlearning"], default="earl", help="rule estimator")
     model(sp)
     sp.add_argument(
-        "--lambda-grid", dest="lambda_grid", default=DEFAULT_LAMBDA_GRID, help="comma-separated grid for cv"
+        "--lambda-grid", dest="lambda_grid", default=",".join(map(repr, DEFAULT_LAMBDA_GRID)),
+        help="comma-separated grid for cv",
     )
     sp.add_argument("--crossfit", type=int, default=0, help="number of sample-splitting folds K >= 2 (0 = off)")
     sp.add_argument("--cv-folds", dest="cv_folds", type=int, default=10, help="folds of --lambda cv")
@@ -434,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--select", choices=["cv", "fixed"], default="cv", help="how EARL records choose lambda")
     sp.add_argument(
-        "--lambda", dest="lam", default=DEFAULT_LAMBDA,
+        "--lambda", dest="lam", default=repr(DEFAULT_LAMBDA),
         help="fixed penalty weight of OWL and of --select fixed EARL",
     )
     sp.add_argument("--threads", type=int, default=1, help="worker threads over replicates")
@@ -457,25 +468,16 @@ def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.A
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # file values become the command's defaults, so flags still win and
-            # every value passes through its flag's type
-            sp = _command_parser(parser, args.command)
-            actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
-            values = _load_config_file(args.config, set(actions))
-            sp.set_defaults(**{
-                k: v if v is None or actions[k].type is None else str(v) for k, v in values.items()
-            })
-            args = parser.parse_args(argv)
-            # argparse checks choices on flags only, not on defaults
-            for k in values:
-                v, a = getattr(args, k), actions[k]
-                if a.choices is not None and v not in a.choices:
-                    sp.error(f"argument {a.option_strings[0]}: invalid choice: {v!r} in {args.config}"
-                             f" (choose from {', '.join(map(repr, a.choices))})")
+            # the file's flags go before the command line's, so these win;
+            # argparse checks each one's type and choices like any flag's
+            i = argv.index(args.command) + 1
+            file_flags = _load_config_file(args.config, _command_parser(parser, args.command))
+            args = parser.parse_args([*argv[:i], *file_flags, *argv[i:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

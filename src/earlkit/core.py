@@ -160,7 +160,8 @@ def _rows(Z: np.ndarray, mask: np.ndarray) -> np.ndarray:
 #   ("xx", i, j)  pairwise product, i < j
 #   ("a",)        treatment main effect
 #   ("ax", j)     treatment-by-covariate product
-_TERM_KINDS = ("1", "x", "x2", "xx", "a", "ax")
+# _TERM_ARITY maps each kind to the number of indices that follow it.
+_TERM_ARITY = {"1": 0, "x": 1, "x2": 1, "xx": 2, "a": 0, "ax": 1}
 
 
 @dataclass(frozen=True)
@@ -180,9 +181,13 @@ class FeatureMap:
         terms = tuple(tuple(t) for t in self.terms)
         seen = set()
         for pos, t in enumerate(terms):
+            if not t:
+                raise ConfigError("a feature term may not be empty")
             kind = t[0]
-            if kind not in _TERM_KINDS:
+            if not isinstance(kind, str) or kind not in _TERM_ARITY:
                 raise ConfigError(f"unknown feature term kind {kind!r}")
+            if len(t) != 1 + _TERM_ARITY[kind]:
+                raise ConfigError(f"feature term {t} needs {_TERM_ARITY[kind]} covariate index(es)")
             if kind == "1" and pos != 0:
                 raise ConfigError("the intercept term must come first")
             idxs = t[1:]

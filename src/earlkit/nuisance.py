@@ -71,11 +71,20 @@ def _expit(x) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
+# the real number types a clip bound may have; concrete types, since an
+# isinstance check against numbers.Real costs more than the rest of the check
+_REAL = (int, float, np.integer, np.floating)
+
+
 def _check_clip(clip) -> tuple[float, float]:
-    lo, hi = float(clip[0]), float(clip[1])
-    if not (0.0 < lo <= hi < 1.0):
+    """The (lo, hi) of clip: two real numbers with 0 < lo <= hi < 1, else a DomainError."""
+    try:
+        lo, hi = clip
+    except (TypeError, ValueError):
+        raise DomainError(f"clip must hold two bounds (lo, hi), got {clip!r}") from None
+    if not (isinstance(lo, _REAL) and isinstance(hi, _REAL) and 0.0 < lo <= hi < 1.0):
         raise DomainError(f"clip bounds must satisfy 0 < lo <= hi < 1, got {clip}")
-    return lo, hi
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)

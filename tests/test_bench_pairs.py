@@ -58,6 +58,24 @@ def test_summary_claims_a_gain_only_with_nine_tenths_of_wins_beyond_the_iqr():
     assert " 8/10 " in lost and " no (2 losses" in lost
 
 
+@pytest.mark.parametrize("change_ops,change_p50,verdicts", [
+    (7.0, 1.0, ("yes", "unresolved")),
+    (7.5, 1.0, ("no", "unresolved")),  # exactly 25% worse is within the bound
+    (12.0, 0.4, ("no", "no")),  # every change run beats every parent run
+])
+def test_summary_applies_each_metrics_bound_to_the_parent_median(change_ops, change_p50, verdicts):
+    # ops_per_s: parent median 10 with an IQR of 0, so a median below 7.5 is
+    # worse beyond the 25% bound; op_p50_s: parent IQR 0.5 over a median of 1
+    parent = [(10.0, 0.5), (9.5, 0.75), (10.0, 1.0), (10.5, 1.25), (10.0, 1.5)]
+    pairs = [(_run(ops, p50), _run(change_ops, change_p50)) for ops, p50 in parent]
+    s = bench_pairs.summarize(END_TO_END, pairs)
+    assert s["metrics"][0]["parent"] == (10.0, 10.0, 10.0)
+    assert tuple(r["worse_beyond_bound"] for r in s["metrics"]) == verdicts
+    lines = bench_pairs.format_summary(s)
+    for line, verdict in zip(lines[1:3], verdicts):
+        assert line.endswith(f"; worse beyond the 25% bound: {verdict}")
+
+
 def test_summary_counts_runs_that_are_not_correct():
     pairs = [(_run(1.0, 1.0), _run(1.0, 1.0, correct=False)), (_run(1.0, 1.0), _run(1.0, 1.0))]
     assert bench_pairs.summarize(END_TO_END, pairs)["incorrect_runs"] == 1

@@ -97,6 +97,30 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def _fast_run(command, train_csv, rule) -> list[str]:
+    """A quick run of command without its --output flag."""
+    return {
+        "fit": ["fit", "--input", train_csv],
+        "evaluate": ["evaluate", "--input", train_csv, "--rule", rule],
+        "simulate": ["simulate", "--methods", "qlearning", "--n-grid", "120", "--replicates", "1",
+                     "--validation-draws", "100", "--select", "fixed"],
+        "permtest": ["permtest", "--input", train_csv, "--b", "5"],
+    }[command]
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["fit", "evaluate", "simulate", "permtest"])
+def test_unwritable_output_is_a_data_error(tmp_path, train_csv, capsys, command, target):
+    rule = str(tmp_path / "rule.json")
+    assert cli.main(["fit", "--input", train_csv, "--output", rule]) == 0
+    out = tmp_path / "nowhere" / "out" if target == "missing-directory" else tmp_path / "outdir"
+    if target == "directory":
+        out.mkdir()
+    assert cli.main([*_fast_run(command, train_csv, rule), "--output", str(out)]) == cli.EXIT_DATA
+    assert _one_error_line(capsys, f"error: {out}: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", [["fit", "--output"], ["evaluate", "--rule"], ["permtest", "--output"]])
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"
@@ -139,11 +163,25 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, train_csv, capsys, c
     assert not out.exists()
 
 
+def _maps_artifact(rule_p, prop_p, out_p, rule_term=("x", 0), clip=(0.01, 0.99)):
+    """A rule artifact whose rule, propensity and outcome maps are over the
+    given covariate dimensions; the rule has the one term rule_term."""
+    return {
+        "rule": {"beta0": 0.5, "beta": [1.0], "feature_map": {"p": rule_p, "terms": [list(rule_term)]}},
+        "propensity": {"feature_map": {"p": prop_p, "terms": [["1"]]}, "gamma": [0.0],
+                       "clip": list(clip), "ridge": 0.0},
+        "outcome": {"feature_map": {"p": out_p, "terms": [["1"]]}, "theta": [0.0]},
+    }
+
+
 @pytest.mark.parametrize(
     "content, fragment",
     [*((c, "") for c in _UNREADABLE.values()), ({}, "'rule'"), ([1, 2], "JSON object"),
-     ({"rule": {"beta0": 0.0, "beta": [0.0]}}, "'feature_map'"), ({"rule": 5}, "malformed")],
-    ids=[*_UNREADABLE, "empty-object", "array", "no-feature-map", "rule-not-object"],
+     ({"rule": {"beta0": 0.0, "beta": [0.0]}}, "'feature_map'"), ({"rule": 5}, "malformed"),
+     (_maps_artifact(4, 4, 4, clip=[0.1]), "clip must hold two bounds"),
+     (_maps_artifact(4, 4, 4, rule_term=[]), "a feature term may not be empty")],
+    ids=[*_UNREADABLE, "empty-object", "array", "no-feature-map", "rule-not-object", "one-clip-bound",
+         "empty-term"],
 )
 def test_bad_rule_artifact_is_a_data_error(tmp_path, train_csv, capsys, content, fragment):
     rule = _json_path(tmp_path, content)
@@ -152,17 +190,6 @@ def test_bad_rule_artifact_is_a_data_error(tmp_path, train_csv, capsys, content,
     assert rc == cli.EXIT_DATA
     assert _one_error_line(capsys, str(rule), fragment)
     assert not out.exists()
-
-
-def _maps_artifact(rule_p, prop_p, out_p):
-    """A rule artifact whose rule, propensity and outcome maps are over the
-    given covariate dimensions."""
-    return {
-        "rule": {"beta0": 0.5, "beta": [1.0], "feature_map": {"p": rule_p, "terms": [["x", 0]]}},
-        "propensity": {"feature_map": {"p": prop_p, "terms": [["1"]]}, "gamma": [0.0],
-                       "clip": [0.01, 0.99], "ridge": 0.0},
-        "outcome": {"feature_map": {"p": out_p, "terms": [["1"]]}, "theta": [0.0]},
-    }
 
 
 @pytest.mark.parametrize(
@@ -669,10 +696,51 @@ def test_qlearning_accepts_the_declared_loss_and_lambda(tmp_path, train_csv):
     assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "stated.json").read_bytes()
 
 
-def test_simulate_config_takes_specs_as_a_json_list(tmp_path):
+def test_simulate_config_takes_specs_as_a_json_list(tmp_path, train_csv):
     args = ["simulate", "--methods", "qlearning", "--n-grid", "120", "--replicates", "1",
             "--validation-draws", "100", "--select", "fixed"]
     assert cli.main([*args, "--output", str(tmp_path / "flag.csv"), "--specs", "CC,II"]) == 0
-    cfg = _json_path(tmp_path, {"specs": ["CC", "II"]})
+    cfg = _json_path(tmp_path, {"specs": ["CC", "II"], "timings": False})
     assert cli.main([*args, "--output", str(tmp_path / "config.csv"), "--config", str(cfg)]) == 0
     assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    # a fit config's numbers and lists are read as the text of their flags
+    model = {"lambda_grid": [0.5, 2], "clip_lo": 0.05, "clip_hi": 0.95, "cv_folds": 3}
+    flags = ["--lambda-grid", "0.5,2", "--clip-lo", "0.05", "--clip-hi", "0.95", "--cv-folds", "3"]
+    for lam in (0.25, "cv"):
+        args = ["fit", "--input", train_csv, "--lambda", str(lam), *flags]
+        assert cli.main([*args, "--output", str(tmp_path / "flag.json")]) == 0
+        cfg = _json_path(tmp_path, {"input": train_csv, "lambda": lam, **model})
+        assert cli.main(["fit", "--output", str(tmp_path / "config.json"), "--config", str(cfg)]) == 0
+        assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+
+_FAST_SIMULATE = {"methods": "qlearning", "n_grid": "120", "replicates": 1, "validation_draws": 100,
+                  "select": "fixed"}
+
+
+@pytest.mark.parametrize("command,config,fragment", [
+    ("fit", {"lambda": True}, "lambda cannot be true or false"),
+    ("fit", {"lambda": "cv", "lambda_grid": [True, 2]}, "could not parse lambda grid 'True,2'"),
+    ("fit", {"lambda": "cv", "lambda_grid": [[1]]}, "could not parse lambda grid '[1]'"),
+    ("simulate", {**_FAST_SIMULATE, "timings": "false"}, "--timings"),
+], ids=["true-lambda", "true-in-grid", "nested-grid", "timings-text"])
+def test_config_value_its_flag_would_refuse_is_a_config_error(tmp_path, train_csv, capsys, command, config,
+                                                              fragment):
+    cfg = _json_path(tmp_path, {"input": train_csv, **config} if command == "fit" else config)
+    out = tmp_path / "out"
+    assert _exit_code([command, "--output", str(out), "--config", str(cfg)]) == cli.EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"cv_folds": None}, ["--lambda", "cv", "--lambda-grid", "0.5,2"]),
+    ({"ridge": None}, []),
+], ids=["cv-folds", "ridge"])
+def test_config_null_leaves_the_flag_at_its_default(tmp_path, train_csv, config, flags):
+    args = ["fit", "--input", train_csv, *flags]
+    assert cli.main([*args, "--output", str(tmp_path / "flag.json")]) == 0
+    cfg = _json_path(tmp_path, config)
+    assert cli.main([*args, "--output", str(tmp_path / "config.json"), "--config", str(cfg)]) == 0
+    assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flag.json").read_bytes()

@@ -311,6 +311,9 @@ _FM3 = FeatureMap.linear(3)
         (lambda: FeatureMap(0, ()), ConfigError, "needs p >= 1, got 0"),
         (lambda: FeatureMap(2, (("z", 0),)), ConfigError, "unknown feature term kind 'z'"),
         (lambda: FeatureMap(3, (("xx", 2, 1),)), ConfigError, "must have i < j"),
+        (lambda: FeatureMap(2, ((),)), ConfigError, "a feature term may not be empty"),
+        (lambda: FeatureMap(2, (("x",),)), ConfigError, "('x',) needs 1 covariate index(es)"),
+        (lambda: FeatureMap(2, (("1", 0),)), ConfigError, "('1', 0) needs 0 covariate index(es)"),
         (lambda: _FM3.design(np.zeros((2, 4))), ShapeError, "expected covariate dimension 3, got 4"),
         (lambda: _FM3.with_treatment().design(np.zeros((2, 3))), ShapeError, "A was not given"),
         (lambda: _FM3.with_treatment().design(np.zeros((2, 3)), [1, 1, 1]), ShapeError, "A has length 3, expected 2"),
@@ -326,6 +329,7 @@ _FM3 = FeatureMap.linear(3)
     ],
     ids=[
         "dataset-3d", "dataset-n0", "dataset-A", "dataset-Y", "map-p0", "map-kind", "map-xx",
+        "map-empty-term", "map-missing-index", "map-extra-index",
         "design-p", "design-no-A", "design-A-length", "rule-treatment", "rule-intercept",
         "rule-beta-length", "rule-nan-intercept", "rule-inf-beta",
     ],

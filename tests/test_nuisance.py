@@ -5,9 +5,10 @@ import pytest
 from scipy.special import expit, logit
 
 import earlkit.nuisance as nuisance_mod
-from earlkit.core import ConvergenceError, Dataset, DomainError, FeatureMap, NumericalError, ShapeError
+from earlkit.core import ConfigError, ConvergenceError, Dataset, DomainError, FeatureMap, NumericalError, ShapeError
 from earlkit.earl import _partition
 from earlkit.nuisance import (
+    NuisanceSpec,
     OutcomeModel,
     PropensityModel,
     _expit,
@@ -127,8 +128,13 @@ _FM3 = FeatureMap.linear(3)
         (lambda: fit_propensity(_balanced_data(p=3), _FM3, ridge=-1), DomainError, "ridge must be nonnegative"),
         (lambda: OutcomeModel(_FM3, np.zeros(2)), ShapeError, "theta has length 2, map has 4 terms"),
         (lambda: predict_q(OutcomeModel(_FM3, np.zeros(4)), np.zeros(3), 0), DomainError, "arm must be -1 or +1, got 0"),
+        (lambda: PropensityModel(_FM3, np.zeros(4), clip=[0.1]), DomainError, "clip must hold two bounds"),
+        (lambda: PropensityModel(_FM3, np.zeros(4), clip=0.1), DomainError, "clip must hold two bounds"),
+        (lambda: PropensityModel(_FM3, np.zeros(4), clip=("0.1", "0.9")), DomainError, "0 < lo <= hi < 1"),
+        (lambda: NuisanceSpec(_FM3, None, clip=(0.1, 0.2, 0.3)), ConfigError, "clip must hold two bounds"),
     ],
-    ids=["propensity-treatment", "gamma-length", "prob-arm", "negative-ridge", "theta-length", "predict-q-arm"],
+    ids=["propensity-treatment", "gamma-length", "prob-arm", "negative-ridge", "theta-length", "predict-q-arm",
+         "one-clip-bound", "scalar-clip", "text-clip", "spec-three-clip-bounds"],
 )
 def test_model_inputs_are_checked(call, error, fragment):
     with pytest.raises(error) as exc:
