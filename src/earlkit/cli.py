@@ -11,6 +11,7 @@ EARL_SEED environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -42,19 +43,30 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Writes text to path by way of a temporary file beside it. An OSError
-    is a DataError naming path, and no temporary file is left behind."""
-    tmp = None
+def _atomic_write(path: str, produce) -> None:
+    """Writes the text produce() returns to path by way of a temporary file
+    beside it. The file is made before produce runs, so an output that
+    cannot be written fails before any work is done. An OSError, or a path
+    that is an existing directory, is a DataError naming path, and every
+    failure removes the temporary file."""
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
+    fh = os.fdopen(fd, "w", encoding="utf-8")
+    try:
+        text = produce()
+        try:
+            fh.write(text)
+            fh.close()
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"{path}: {exc.strerror}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        fh.close()
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -198,7 +210,7 @@ def _model(args: argparse.Namespace, p: int, **extra) -> tuple[bool, EarlConfig,
     return use_cv, econf, nspec
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> str:
     if not args.input or not args.output:
         raise ConfigError("fit requires --input and --output")
     data = load_csv(args.input)
@@ -259,11 +271,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         artifact["cv_table"] = [dict(row) for row in selection.table]
     if per_fold is not None:
         artifact["per_fold"] = per_fold
-    _atomic_write(args.output, _dump_json(artifact))
-    return EXIT_OK
+    return _dump_json(artifact)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> str:
     if not args.input or not args.rule:
         raise ConfigError("evaluate requires --input and --rule")
     data = load_csv(args.input)
@@ -296,12 +307,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except DataError as exc:
         report["ipwe_normalized"] = None
         report["ipwe_normalized_error"] = str(exc)
-    text = _dump_json(report)
-    if args.output:
-        _atomic_write(args.output, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _dump_json(report)
 
 
 def _split_csv(text: str) -> list[str]:
@@ -327,7 +333,7 @@ def _int_list(text, flag: str, hi: int | None = None) -> list[int]:
     return values
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     if not args.output:
         raise ConfigError("simulate requires --output")
     seed = _seed(args)
@@ -348,11 +354,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     buf = io.StringIO()
     write_results_csv(results, buf, timings=args.timings)
-    _atomic_write(args.output, buf.getvalue())
-    return EXIT_OK
+    return buf.getvalue()
 
 
-def cmd_permtest(args: argparse.Namespace) -> int:
+def cmd_permtest(args: argparse.Namespace) -> str:
     if not args.input or not args.output:
         raise ConfigError("permtest requires --input and --output")
     data = load_csv(args.input)
@@ -371,8 +376,7 @@ def cmd_permtest(args: argparse.Namespace) -> int:
     lines = ["covariate,coefficient,p_value"]
     for e in report.entries:
         lines.append(f"x{e.covariate + 1},{e.coefficient!r},{e.p_value!r}")
-    _atomic_write(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -478,7 +482,13 @@ def main(argv=None) -> int:
             i = argv.index(args.command) + 1
             file_flags = _load_config_file(args.config, _command_parser(parser, args.command))
             args = parser.parse_args([*argv[:i], *file_flags, *argv[i:]])
-        return args.func(args)
+        # each command returns the text it writes; only evaluate may leave
+        # --output unset, and the other commands refuse that themselves
+        if args.output:
+            _atomic_write(args.output, lambda: args.func(args))
+        else:
+            sys.stdout.write(args.func(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -43,6 +43,7 @@ tolerance of 0 can flip a decision.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -58,12 +59,10 @@ from .core import (
     LinearRule,
     NumericalError,
     _rows,
-    sgn,
     stream,
 )
 from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _OutcomeGram
-from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
 __all__ = [
@@ -201,7 +200,7 @@ class _Problem:
         self.aw = np.abs(W)
         # the loss takes -t = -sgn(W) s; a gradient row is |W| phi'(t) sgn(W)
         # = (-|W| sgn(W)) (-phi'(t)), where every sign flip is exact
-        self.neg = -np.asarray(sgn(W), dtype=float)
+        self.neg = np.where(W >= 0.0, -1.0, 1.0)
         self.gw = self.aw * self.neg
         self.loss = loss
         self.lam = float(lam)
@@ -366,7 +365,8 @@ def earl_objective(rule: LinearRule, weights, data: Dataset, loss, lam: float) -
 
 
 def _descent_directions(H: np.ndarray, g: np.ndarray):
-    """Newton directions under increasing damping, then -g.
+    """Newton directions d under increasing damping, then -g, each with
+    its slope g d.
 
     The line search takes the first direction it can step along. Later
     ones serve where the Hessian is singular along a flat direction (the
@@ -379,14 +379,15 @@ def _descent_directions(H: np.ndarray, g: np.ndarray):
     for damp in (0.0, 1e-12, 1e-8, 1e-4, 1.0):
         if damp > 0.0 and scale is None:
             # needed only once the undamped direction is rejected
-            scale = max(float(np.max(np.abs(H))), 1e-30)
+            scale = max(float(np.abs(H).max()), 1e-30)
         try:
             d = np.linalg.solve(H if damp == 0.0 else H + damp * scale * np.eye(q), -g)
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.isfinite(d)) and float(g @ d) < 0.0:
-            yield d
-    yield -g
+        if np.isfinite(d).all() and (gd := float(g @ d)) < 0.0:
+            yield d, gd
+    d = -g
+    yield d, float(g @ d)
 
 
 def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
@@ -407,7 +408,7 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
     else:
         m, slopes = prob.margins(b), None
     f = prob.value(b, m)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericalError("objective is non-finite at the starting coefficient vector")
     # no iterate is modified in place, so best_b can hold one by reference
     best_f, best_b = f, b
@@ -420,14 +421,13 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
             slopes = prob.loss_slopes(m)
         g, w = prob.ridge(slopes[0], b), slopes[1]
         # NaN and inf carry through the max, so one pass tests finiteness too
-        grad_norm = float(np.max(np.abs(g)))
+        grad_norm = float(np.abs(g).max())
         if not grad_norm < np.inf:
             raise NumericalError(f"non-finite gradient after {steps} Newton steps")
         if grad_norm < config.tol:
             converged = True
             break
-        for d in _descent_directions(prob.hessian(w), g):
-            gd = float(g @ d)
+        for d, gd in _descent_directions(prob.hessian(w), g):
             t = prob.first_step(b, m, d, gd)
             # Armijo with an absolute-noise allowance so steps near machine
             # precision are not rejected spuriously
@@ -435,7 +435,7 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
                 bn = b + d if t == 1.0 else b + t * d
                 mn = prob.margins(bn)
                 fn = prob.value(bn, mn)
-                if np.isfinite(fn) and fn <= f + _ARMIJO * t * gd + 1e-14 * (1.0 + abs(f)):
+                if math.isfinite(fn) and fn <= f + _ARMIJO * t * gd + 1e-14 * (1.0 + abs(f)):
                     break
                 t *= 0.5
             if t >= 1e-14:
@@ -457,7 +457,7 @@ def _solve(prob: _Problem, config: EarlConfig, b: np.ndarray | None = None):
         prob.carry = (b, m, slopes)
     else:
         b, f = best_b, best_f
-        grad_norm = float(np.max(np.abs(prob.gradient(b))))
+        grad_norm = float(np.abs(prob.gradient(b)).max())
         converged = grad_norm < config.tol
     return (*prob.report(b, f), steps, grad_norm, converged)
 
@@ -668,7 +668,8 @@ def select_lambda(
     evaluates the point afresh. Every solve stops on the same
     config.tol gradient test as a cold earl_fit (or earl_fit_crossfit), so
     its decisions on the held fold can differ from the cold fit's only
-    where a held-out score lies within that tolerance of 0. With
+    where a held-out score lies within that tolerance of 0. Every rule of
+    a split is scored on the held fold in one matrix product. With
     crossfit=True a single-arm fold merge warns once per split, not once
     per lambda.
 
@@ -703,11 +704,8 @@ def select_lambda(
             for row in errors:
                 row[j] = exc
             continue
-        # the held rows' rule features, column-major like the fresh design
-        # LinearRule.scores reads and scored with its arithmetic, so that a
-        # cell equals value_aipwe of the same rule exactly
-        Phi_h = _rows(Z[:, 1:], ~keep)
         starts = [None] * len(probs)
+        rows, bs = [], []
         for i in reversed(range(len(grid))):
             try:
                 for k, prob in enumerate(probs):
@@ -720,7 +718,17 @@ def select_lambda(
                 errors[i][j] = exc
                 starts = [None] * len(probs)
                 continue
-            vals[i, j] = _dr_value(sgn(b[0] + Phi_h @ b[1:]), *w_h)
+            rows.append(i)
+            bs.append(b)
+        if rows:
+            # every fitted rule's held-out value P_n[W_{d(X)}] from one
+            # product with the held rows' rule features, d = +1 where the
+            # score is >= 0; a score's last bits may differ from those of
+            # LinearRule.scores, so a decision can differ only where a
+            # score rounds across 0
+            B = np.array(bs)
+            S = B[:, :1] + B[:, 1:] @ _rows(Z[:, 1:], ~keep).T
+            vals[rows, j] = np.where(S >= 0.0, w_h[0], w_h[1]).mean(axis=1)
     # the NaN-ignoring mean, without np.nanmean's warning on an all-NaN row
     missing = np.isnan(vals)
     counts = np.sum(~missing, axis=1)

@@ -109,16 +109,17 @@ def true_value_mc(rule, scenario: int, draws: int, seed) -> float:
         raise ConfigError(f"draws must be positive, got {draws}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.standard_normal((draws, DEFAULT_P))
-    return _value_on(X, _treatment_free(X), rule)
+    return _value_on(X, _treatment_free(X), contrast(X), rule)
 
 
-def _value_on(X: np.ndarray, free: np.ndarray, rule) -> float:
-    """Mean outcome of rule on the draws X, whose _treatment_free is free."""
+def _value_on(X: np.ndarray, free: np.ndarray, c: np.ndarray, rule) -> float:
+    """Mean outcome of rule on the draws X, whose _treatment_free is free
+    and whose contrast is c."""
     if isinstance(rule, LinearRule):
         d = rule.decide_many(X)
     else:
         d = np.asarray(rule(X))
-    return float(np.mean(free + np.asarray(d, dtype=float) * contrast(X)))
+    return float(np.mean(free + np.asarray(d, dtype=float) * c))
 
 
 def optimal_rule() -> LinearRule:
@@ -291,7 +292,8 @@ def run_experiment(
     validation = {}
     for s in scenarios:
         V = stream(seed, 202, s).standard_normal((validation_draws, DEFAULT_P))
-        validation[s] = (V, _treatment_free(V))
+        validation[s] = (V, _treatment_free(V), contrast(V))
+    nspecs = {(m.code, s): m.nuisance_spec(s) for m in spec_list for s in scenarios}
 
     def one_cell(scenario: int, n: int, rep: int) -> list[ExperimentResult]:
         data = generate_scenario(ScenarioSpec(scenario, n), stream(seed, 101, scenario, n, rep))
@@ -308,7 +310,7 @@ def run_experiment(
                     rule = _fit_method_rule(
                         method,
                         data,
-                        mspec.nuisance_spec(scenario),
+                        nspecs[mspec.code, scenario],
                         fit_seed,
                         earl_cfg,
                         search_cfg,

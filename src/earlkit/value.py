@@ -91,8 +91,10 @@ def value_ipwe_normalized(
 
 def value_crossfit_aggregate(data: Dataset, folds, loss=None) -> ValueEstimate:
     """Aggregated cross-fit value: the mean over folds of the augmented
-    IPW evaluation of each fold's rule on that fold's held-out rows, using
-    that fold's nuisance models.
+    IPW evaluation of each fold's rule, using that fold's nuisance models,
+    on that fold's erm_index rows. Those rows are held out from the fold's
+    nuisance fit, but the fold's rule was fit on them, so this is not a
+    held-out value of the rule.
 
     folds is a sequence of fold artifacts exposing erm_index, rule,
     propensity, and outcome (as produced by earl_fit_crossfit). The loss

@@ -183,22 +183,33 @@ def test_search_seeds_the_constant_rule_for_a_treatment_free_outcome_map():
 
 
 def test_search_output_is_pinned():
-    # any change to the search's RNG draw order or arithmetic moves these
-    d = generate_scenario(ScenarioSpec(2, 300), 12)
-    prop, out = ModelSpec("II").nuisance_spec(2).fit(d)
-    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=30, generations=25, seed=6))
-    assert bl.rule.beta0 == -0.0742615596957301
-    assert bl.rule.beta.tolist() == [
-        0.44387480466933743, 0.49558780309509814, 0.19804144905471766, -0.3491509714699738,
-        0.13561391682197615, -0.08446833251930352, -0.024752827912691563, -0.2974822953584949,
-        0.06348287430707739, -0.5268553342948151,
+    # any change to the search's RNG draw order or arithmetic moves these;
+    # the second case is the default search (population 100, 200
+    # generations) at n = 500, the simulation grid's size
+    cases = [
+        (300, SearchConfig(population=30, generations=25, seed=6), -0.0742615596957301, [
+            0.44387480466933743, 0.49558780309509814, 0.19804144905471766, -0.3491509714699738,
+            0.13561391682197615, -0.08446833251930352, -0.024752827912691563, -0.2974822953584949,
+            0.06348287430707739, -0.5268553342948151,
+        ], 11.489268059248037, 11.041564326177536, 780, 6),
+        (500, SearchConfig(), -0.0519983624756388, [
+            0.7964925480273407, 0.4229699422437001, -0.06810398530224586, -0.07895712260371285,
+            -0.0734955197389346, 0.36901229085735227, -0.03685082985020066, 0.16155739909309758,
+            0.08241837089390693, 0.0006647726691341939,
+        ], 11.287074155016308, 10.975172147159443, 20100, 10),
     ]
-    diag = bl.diagnostics
-    assert diag["best_history"][-1] == 11.489268059248037
-    assert diag["seed_rule_aipwe"] == 11.041564326177536
-    assert diag["evaluations"] == 780
-    # the search improved on its seed, so the pin covers the generation loop
-    assert len(set(diag["best_history"])) == 6
+    for n, cfg, beta0, beta, best, seed_value, evaluations, distinct in cases:
+        d = generate_scenario(ScenarioSpec(2, n), 12)
+        prop, out = ModelSpec("II").nuisance_spec(2).fit(d)
+        bl = aipwe_direct_search(d, prop, out, cfg)
+        assert bl.rule.beta0 == beta0
+        assert bl.rule.beta.tolist() == beta
+        diag = bl.diagnostics
+        assert diag["best_history"][-1] == best
+        assert diag["seed_rule_aipwe"] == seed_value
+        assert diag["evaluations"] == evaluations
+        # the search improved on its seed, so the pin covers the generation loop
+        assert len(set(diag["best_history"])) == distinct
 
 
 def test_normalize_genomes_in_place_with_fallback_axes():

@@ -110,9 +110,16 @@ def _fast_run(command, train_csv, rule) -> list[str]:
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate", "permtest"])
-def test_unwritable_output_is_a_data_error(tmp_path, train_csv, capsys, command, target):
+def test_unwritable_output_is_a_data_error(tmp_path, train_csv, capsys, monkeypatch, command, target):
     rule = str(tmp_path / "rule.json")
     assert cli.main(["fit", "--input", train_csv, "--output", rule]) == 0
+
+    def no_work(*args, **kwargs):
+        pytest.fail("the command ran before it checked --output")
+
+    # the output is checked before any input is read or anything is fitted
+    for name in ("load_csv", "fit_earl_pipeline", "run_experiment", "permutation_report"):
+        monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "nowhere" / "out" if target == "missing-directory" else tmp_path / "outdir"
     if target == "directory":
         out.mkdir()
