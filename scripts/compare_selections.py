@@ -73,7 +73,10 @@ def emit() -> None:
     # per CV split, in order: how many of the call's warnings, the list log
     # recorded around each call below, came before the split started
     starts = []
-    real_split_fits = earl._split_fits
+    # without the hook every call would report no fallback split
+    real_split_fits = getattr(earl, "_split_fits", None)
+    if real_split_fits is None:
+        sys.exit("error: earlkit.earl has no _split_fits, so the ridge-fallback splits cannot be attributed")
 
     def split_fits(*args):
         starts.append(len(log))

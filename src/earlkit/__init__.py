@@ -68,7 +68,6 @@ from .value import (
 )
 from .baselines import (
     BaselineFit,
-    SearchConfig,
     aipwe_direct_search,
     owl_fit,
     qlearning_fit,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Dataset, FeatureMap, LinearRule, stream
+from .core import Dataset, FeatureMap, LinearRule, stream
 from .earl import EarlConfig, earl_fit
 from .nuisance import OutcomeModel, PropensityModel, fit_outcome
 from .value import _dr_value
@@ -24,7 +24,6 @@ from .weights import dr_weights
 
 __all__ = [
     "BaselineFit",
-    "SearchConfig",
     "qlearning_fit",
     "owl_fit",
     "aipwe_direct_search",
@@ -33,7 +32,9 @@ __all__ = [
 
 # effectively a constant rule when the coefficient vector is forced to unit norm
 _CONST_INTERCEPT = 1e9
-# the search's Gaussian mutation scale and tournament size
+# the search's size, Gaussian mutation scale and tournament size
+_POPULATION = 100
+_GENERATIONS = 200
 _MUTATION_SD = 0.1
 _TOURNAMENT = 4
 
@@ -98,19 +99,6 @@ def owl_fit(data: Dataset, propensity: PropensityModel, config: EarlConfig) -> B
     )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    population: int = 100
-    generations: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population < 10:
-            raise ConfigError(f"population must be at least 10, got {self.population}")
-        if self.generations < 1:
-            raise ConfigError(f"generations must be at least 1, got {self.generations}")
-
-
 def _normalize_genomes(genomes: np.ndarray, fallback_axes: np.ndarray) -> np.ndarray:
     """Rescale each row's coefficients (all but the intercept) to unit norm,
     in place; a row whose coefficients are near zero becomes its fallback
@@ -146,20 +134,21 @@ def aipwe_direct_search(
     data: Dataset,
     propensity: PropensityModel,
     outcome: OutcomeModel | None,
-    config: SearchConfig = SearchConfig(),
+    seed: int = 0,
 ) -> BaselineFit:
     """Evolutionary maximization of the augmented IPW value over rules
     f(x) = b0 + beta'x with ||beta|| = 1.
 
-    Tournament selection, uniform crossover, Gaussian mutation, and an
-    elite copied unchanged each generation, so the best value never
+    A population of 100 rules evolves for 200 generations by tournament
+    selection (4 entrants), uniform crossover, Gaussian mutation (sd 0.1),
+    and an elite copied unchanged each generation, so the best value never
     decreases. A rule's fitness is its value P_n[W_{d(X)}] over the doubly
     robust weights, which are computed once. Deterministic given the seed.
     The Q-learning rule derived from the supplied outcome model is placed
     in the initial population (a random direction when no outcome model is
     given).
     """
-    rng = stream(config.seed, 5150)
+    rng = stream(seed, 5150)
     n, p = data.n, data.p
     w_pos, w_neg = dr_weights(data, propensity, outcome)
     X1 = np.column_stack([np.ones(n), data.X])
@@ -170,7 +159,7 @@ def aipwe_direct_search(
         # the product with a contiguous copy of pop.T is the faster one
         return base + gain @ (X1 @ np.ascontiguousarray(pop.T) >= 0.0) / n
 
-    m, k = config.population, _TOURNAMENT
+    m, k = _POPULATION, _TOURNAMENT
     axes = np.arange(m) % p
     rows = np.arange(2 * (m - 1))
     if outcome is not None:
@@ -185,7 +174,7 @@ def aipwe_direct_search(
     best_genome = pop[best_i].copy()
     best_value = float(fit_vals[best_i])
     history = [best_value]
-    for _ in range(config.generations):
+    for _ in range(_GENERATIONS):
         # both tournaments of every child in one draw; argmax keeps the
         # first of tied entrants
         entrants = rng.integers(0, m, size=(2, m - 1, k)).reshape(-1, k)
@@ -210,9 +199,9 @@ def aipwe_direct_search(
         method="aipwe_direct",
         rule=rule,
         diagnostics={
-            "aipwe": _dr_value(rule.decide_many(data.X), w_pos, w_neg),
+            "aipwe": float(_dr_value(rule.scores(data.X), w_pos, w_neg)),
             "best_history": tuple(history),
             "seed_rule_aipwe": seed_value,
-            "evaluations": m * (config.generations + 1),
+            "evaluations": m * (_GENERATIONS + 1),
         },
     )

@@ -44,6 +44,7 @@ tolerance of 0 can flip a decision.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -63,6 +64,7 @@ from .core import (
 )
 from .losses import SurrogateLoss, _phi, _shared, _slopes, get_loss
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _OutcomeGram
+from .value import _dr_value
 from .weights import WeightPair, dr_weights
 
 __all__ = [
@@ -102,16 +104,18 @@ class EarlConfig:
     lam is the ridge weight on the rule coefficients (the JSON/CLI key is
     "lambda"); feature_map is the map for f over x only, without an
     intercept term (None means the raw covariates), and any other map is
-    a ConfigError; k_folds is the number of cross-fitting folds K. tol, the
-    sup-norm of the gradient at which a solve has converged, is fixed.
+    a ConfigError; k_folds is the number of cross-fitting folds K and
+    cv_folds the number of lambda-selection folds, each an integer. Two
+    solver values are fixed: tol, the sup-norm of the gradient at which a
+    solve has converged, and max_iter, the most Newton steps a solve takes.
     """
 
     tol: ClassVar[float] = 1e-8
+    max_iter: ClassVar[int] = 5000
 
     loss: str = "logistic"
     lam: float = 0.0
     feature_map: FeatureMap | None = None
-    max_iter: int = 5000
     k_folds: int = 2
     cv_folds: int = 10
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
@@ -123,10 +127,12 @@ class EarlConfig:
         fm = self.feature_map
         if fm is not None and (fm.uses_treatment or fm.has_intercept):
             raise ConfigError("the rule feature map must be over x only, without an intercept")
-        if self.k_folds < 2:
-            raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
+        for name in ("k_folds", "cv_folds"):
+            k = getattr(self, name)
+            if not isinstance(k, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {k!r}")
+            if k < 2:
+                raise ConfigError(f"{name} must be at least 2, got {k}")
         grid = tuple(_check_lambda("lambda_grid values", v) for v in self.lambda_grid)
         if len(grid) == 0:
             raise ConfigError("lambda_grid must be nonempty")
@@ -722,13 +728,12 @@ def select_lambda(
             bs.append(b)
         if rows:
             # every fitted rule's held-out value P_n[W_{d(X)}] from one
-            # product with the held rows' rule features, d = +1 where the
-            # score is >= 0; a score's last bits may differ from those of
-            # LinearRule.scores, so a decision can differ only where a
-            # score rounds across 0
+            # product with the held rows' rule features; a score's last
+            # bits may differ from those of LinearRule.scores, so a
+            # decision can differ only where a score rounds across 0
             B = np.array(bs)
             S = B[:, :1] + B[:, 1:] @ _rows(Z[:, 1:], ~keep).T
-            vals[rows, j] = np.where(S >= 0.0, w_h[0], w_h[1]).mean(axis=1)
+            vals[rows, j] = _dr_value(S, *w_h)
     # the NaN-ignoring mean, without np.nanmean's warning on an all-NaN row
     missing = np.isnan(vals)
     counts = np.sum(~missing, axis=1)

@@ -173,7 +173,7 @@ def psi_eval(loss, theta):
     """psi(theta) for theta in [0, 1]."""
     loss = get_loss(loss)
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((-1e-12 <= arr) & (arr <= 1.0 + 1e-12)):
         raise DomainError(f"psi argument must lie in [0, 1], got {theta}")
     arr = np.clip(arr, 0.0, 1.0)
     out = np.vectorize(lambda v: _psi_scalar(loss.kind, v))(arr)
@@ -194,7 +194,7 @@ def psi_inverse(loss, r) -> float:
     loss = get_loss(loss)
     r = float(r)
     top = psi_max(loss)
-    if r < -1e-12 or r > top + 1e-12:
+    if not -1e-12 <= r <= top + 1e-12:
         raise DomainError(f"psi inverse argument {r} outside [0, {top}]")
     r = min(max(r, 0.0), top)
     if loss.kind == "hinge":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import SearchConfig, aipwe_direct_search, owl_fit, qlearning_fit
+from .baselines import aipwe_direct_search, owl_fit, qlearning_fit
 from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, stream
 from .earl import EarlConfig, fit_earl_pipeline
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _expit
@@ -225,7 +225,6 @@ def _fit_method_rule(
     nspec: NuisanceSpec,
     fit_seed: int,
     earl_cfg: EarlConfig,
-    search_cfg: SearchConfig,
     select: str,
 ) -> LinearRule:
     if method.startswith("earl-"):
@@ -240,7 +239,7 @@ def _fit_method_rule(
         return owl_fit(data, prop, cfg).rule
     # "aipwe": run_experiment has rejected every other name
     prop, out = nspec.fit(data)
-    return aipwe_direct_search(data, prop, out, replace(search_cfg, seed=fit_seed)).rule
+    return aipwe_direct_search(data, prop, out, fit_seed).rule
 
 
 def run_experiment(
@@ -253,7 +252,6 @@ def run_experiment(
     validation_draws: int = 10000,
     threads: int = 1,
     earl_config: EarlConfig | None = None,
-    search_config: SearchConfig | None = None,
     select: str = "cv",
 ) -> list[ExperimentResult]:
     """Run the full benchmark grid and return one record per cell.
@@ -281,6 +279,13 @@ def run_experiment(
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
+    # a repeated entry would return (and write) each of its records twice
+    for name, entries in (
+        ("scenarios", scenarios), ("specs", [m.code for m in spec_list]), ("methods", methods), ("n_grid", n_grid)
+    ):
+        if len(set(entries)) < len(entries):
+            repeated = next(e for e in entries if entries.count(e) > 1)
+            raise ConfigError(f"{name} lists {repeated!r} more than once")
     if select not in ("cv", "fixed"):
         raise ConfigError(f"select must be 'cv' or 'fixed', got {select!r}")
     if validation_draws < 1 or threads < 1:
@@ -288,7 +293,6 @@ def run_experiment(
             f"validation_draws and threads must be at least 1, got {validation_draws} and {threads}"
         )
     earl_cfg = earl_config if earl_config is not None else EarlConfig(lam=DEFAULT_LAMBDA)
-    search_cfg = search_config if search_config is not None else SearchConfig()
     validation = {}
     for s in scenarios:
         V = stream(seed, 202, s).standard_normal((validation_draws, DEFAULT_P))
@@ -313,7 +317,6 @@ def run_experiment(
                         nspecs[mspec.code, scenario],
                         fit_seed,
                         earl_cfg,
-                        search_cfg,
                         select,
                     )
                     value = _value_on(*validation[scenario], rule)
@@ -335,17 +338,12 @@ def run_experiment(
 
     cells = [(s, n, r) for s in scenarios for n in n_grid for r in range(replicates)]
     results: list[ExperimentResult] = []
-    # the warning filters are process-global, so they are set once here,
-    # in the calling thread, rather than per record in the workers
-    with warnings.catch_warnings():
+    # the warning filters are process-global, so they are set once here, in the
+    # calling thread; with threads=1 nothing is submitted and no thread starts
+    with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=threads) as pool:
         warnings.simplefilter("ignore")
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for recs in pool.map(lambda c: one_cell(*c), cells):
-                    results.extend(recs)
-        else:
-            for cell in cells:
-                results.extend(one_cell(*cell))
+        for recs in (pool.map if threads > 1 else map)(one_cell, *zip(*cells)):
+            results.extend(recs)
     results.sort(key=lambda r: (r.method, r.scenario, r.spec, r.n, r.replicate))
     return results
 

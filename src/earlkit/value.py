@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataError, Dataset, LinearRule
+from .core import DataError, Dataset, LinearRule, sgn
 from .losses import get_loss
 from .nuisance import OutcomeModel, PropensityModel
 from .weights import dr_weights
@@ -48,9 +48,10 @@ def value_ipwe(data: Dataset, rule: LinearRule, propensity: PropensityModel) -> 
     return replace(value_aipwe(data, rule, propensity, None), estimator_kind="ipwe")
 
 
-def _dr_value(d: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray) -> float:
-    """P_n[W_{d(X)}]: the mean doubly robust weight of the recommended arm."""
-    return float(np.mean(np.where(d == 1, w_pos, w_neg)))
+def _dr_value(f: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray):
+    """P_n[W_{d(X)}] for the rule scores f over the last axis: the mean
+    doubly robust weight of the recommended arm, d = +1 where f >= 0."""
+    return np.where(f >= 0.0, w_pos, w_neg).mean(axis=-1)
 
 
 def value_aipwe(
@@ -66,9 +67,9 @@ def value_aipwe(
     when A = a and is nullified by the indicator otherwise, so with
     outcome None this is the IPW estimator; value_ipwe returns it.
     """
-    d = rule.decide_many(data.X)
-    est = _dr_value(d, *dr_weights(data, propensity, outcome))
-    return ValueEstimate(est, "aipwe", int(np.sum(data.A == d)))
+    f = rule.scores(data.X)
+    est = float(_dr_value(f, *dr_weights(data, propensity, outcome)))
+    return ValueEstimate(est, "aipwe", int(np.sum(data.A == sgn(f))))
 
 
 def value_ipwe_normalized(

@@ -1,17 +1,14 @@
-from dataclasses import replace
-
 import numpy as np
-import pytest
 
+import earlkit.baselines as baselines_mod
 from earlkit.baselines import (
-    SearchConfig,
     _normalize_genomes,
     aipwe_direct_search,
     contrast_rule,
     owl_fit,
     qlearning_fit,
 )
-from earlkit.core import ConfigError, Dataset, FeatureMap, LinearRule
+from earlkit.core import Dataset, FeatureMap, LinearRule
 from earlkit.earl import EarlConfig, earl_fit
 from earlkit.nuisance import OutcomeModel, PropensityModel, fit_outcome
 from earlkit.sim import (
@@ -123,31 +120,29 @@ def _search_setup(seed=11, n=300):
 
 def test_search_beats_or_matches_qlearning_seed():
     d, prop, out = _search_setup()
-    cfg = SearchConfig(population=30, generations=30, seed=5)
-    bl = aipwe_direct_search(d, prop, out, cfg)
+    bl = aipwe_direct_search(d, prop, out, 5)
     seed_rule_value = bl.diagnostics["seed_rule_aipwe"]
     assert bl.diagnostics["aipwe"] >= seed_rule_value - 1e-12
 
 
 def test_search_seed_value_is_the_contrast_rule_value():
     d, prop, out = _search_setup()
-    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=20, generations=5, seed=4))
+    bl = aipwe_direct_search(d, prop, out, 4)
     expected = value_aipwe(d, contrast_rule(out), prop, out).estimate
     assert abs(bl.diagnostics["seed_rule_aipwe"] - expected) < 1e-12
 
 
 def test_search_history_ends_at_reported_value():
     d, prop, out = _search_setup(seed=12)
-    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=30, generations=25, seed=6))
+    bl = aipwe_direct_search(d, prop, out, 6)
     assert abs(bl.diagnostics["best_history"][-1] - bl.diagnostics["aipwe"]) < 1e-12
     assert bl.diagnostics["aipwe"] == value_aipwe(d, bl.rule, prop, out).estimate
 
 
 def test_search_is_deterministic():
     d, prop, out = _search_setup()
-    cfg = SearchConfig(population=20, generations=15, seed=9)
-    a = aipwe_direct_search(d, prop, out, cfg)
-    b = aipwe_direct_search(d, prop, out, cfg)
+    a = aipwe_direct_search(d, prop, out, 9)
+    b = aipwe_direct_search(d, prop, out, 9)
     assert a.rule.beta0 == b.rule.beta0
     assert np.array_equal(a.rule.beta, b.rule.beta)
     assert a.diagnostics["best_history"] == b.diagnostics["best_history"]
@@ -163,11 +158,10 @@ def _same_search(a, b) -> bool:
 
 def test_search_without_an_outcome_model_seeds_a_random_genome():
     d, prop, _ = _search_setup()
-    cfg = SearchConfig(population=20, generations=5, seed=4)
-    a = aipwe_direct_search(d, prop, None, cfg)
-    assert _same_search(a, aipwe_direct_search(d, prop, None, cfg))
+    a = aipwe_direct_search(d, prop, None, 4)
+    assert _same_search(a, aipwe_direct_search(d, prop, None, 4))
     # the seed genome is drawn from the search's stream
-    other = aipwe_direct_search(d, prop, None, replace(cfg, seed=5))
+    other = aipwe_direct_search(d, prop, None, 5)
     assert other.diagnostics["seed_rule_aipwe"] != a.diagnostics["seed_rule_aipwe"]
 
 
@@ -175,33 +169,35 @@ def test_search_seeds_the_constant_rule_for_a_treatment_free_outcome_map():
     # the contrast of a map with no treatment term is 0, so the seed treats everyone
     d, prop, _ = _search_setup()
     out = fit_outcome(d, FeatureMap.linear(d.p))
-    cfg = SearchConfig(population=20, generations=5, seed=4)
-    a = aipwe_direct_search(d, prop, out, cfg)
-    assert _same_search(a, aipwe_direct_search(d, prop, out, cfg))
+    a = aipwe_direct_search(d, prop, out, 4)
+    assert _same_search(a, aipwe_direct_search(d, prop, out, 4))
     w_pos, _ = dr_weights(d, prop, out)
     assert abs(a.diagnostics["seed_rule_aipwe"] - float(np.mean(w_pos))) < 1e-12
 
 
-def test_search_output_is_pinned():
+def test_search_output_is_pinned(monkeypatch):
     # any change to the search's RNG draw order or arithmetic moves these;
-    # the second case is the default search (population 100, 200
-    # generations) at n = 500, the simulation grid's size
+    # the first case runs a population of 30 for 25 generations, and the
+    # second is the fixed search (population 100, 200 generations) at
+    # n = 500, the simulation grid's size
     cases = [
-        (300, SearchConfig(population=30, generations=25, seed=6), -0.0742615596957301, [
+        (300, (30, 25, 6), -0.0742615596957301, [
             0.44387480466933743, 0.49558780309509814, 0.19804144905471766, -0.3491509714699738,
             0.13561391682197615, -0.08446833251930352, -0.024752827912691563, -0.2974822953584949,
             0.06348287430707739, -0.5268553342948151,
         ], 11.489268059248037, 11.041564326177536, 780, 6),
-        (500, SearchConfig(), -0.0519983624756388, [
+        (500, (100, 200, 0), -0.0519983624756388, [
             0.7964925480273407, 0.4229699422437001, -0.06810398530224586, -0.07895712260371285,
             -0.0734955197389346, 0.36901229085735227, -0.03685082985020066, 0.16155739909309758,
             0.08241837089390693, 0.0006647726691341939,
         ], 11.287074155016308, 10.975172147159443, 20100, 10),
     ]
-    for n, cfg, beta0, beta, best, seed_value, evaluations, distinct in cases:
+    for n, (population, generations, seed), beta0, beta, best, seed_value, evaluations, distinct in cases:
         d = generate_scenario(ScenarioSpec(2, n), 12)
         prop, out = ModelSpec("II").nuisance_spec(2).fit(d)
-        bl = aipwe_direct_search(d, prop, out, cfg)
+        monkeypatch.setattr(baselines_mod, "_POPULATION", population)
+        monkeypatch.setattr(baselines_mod, "_GENERATIONS", generations)
+        bl = aipwe_direct_search(d, prop, out, seed)
         assert bl.rule.beta0 == beta0
         assert bl.rule.beta.tolist() == beta
         diag = bl.diagnostics
@@ -233,7 +229,7 @@ def test_normalize_genomes_in_place_with_fallback_axes():
 
 def test_search_history_never_decreases():
     d, prop, out = _search_setup(seed=21)
-    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=20, generations=40, seed=3))
+    bl = aipwe_direct_search(d, prop, out, 3)
     hist = np.array(bl.diagnostics["best_history"])
     assert np.all(np.diff(hist) >= 0.0)
 
@@ -257,12 +253,5 @@ def test_search_matches_threshold_oracle_in_1d():
             rule = LinearRule.raw(-sign * c, [sign])
             best = max(best, value_aipwe(d, rule, prop, out).estimate)
 
-    bl = aipwe_direct_search(d, prop, out, SearchConfig(population=50, generations=120, seed=2))
+    bl = aipwe_direct_search(d, prop, out, 2)
     assert bl.diagnostics["aipwe"] >= best - 1e-6
-
-
-def test_search_config_validation():
-    with pytest.raises(ConfigError):
-        SearchConfig(population=5)
-    with pytest.raises(ConfigError):
-        SearchConfig(generations=0)

@@ -1,6 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import earlkit.earl as earl_mod
+
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_selections.py"
 _SPEC = importlib.util.spec_from_file_location("compare_selections", _PATH)
 compare_selections = importlib.util.module_from_spec(_SPEC)
@@ -72,3 +76,12 @@ def test_a_far_cell_counts_as_unexplained_only_where_no_split_fell_back(capsys):
     compare_selections.compare([_call("c")], within)
     s = _summary(capsys)
     assert s["within 1e-12 relative"] == "1" and s["further apart"] == "0"
+
+
+def test_emit_fails_without_the_split_hook(monkeypatch, capsys):
+    # the ridge-fallback splits are attributed through earl._split_fits;
+    # with that name gone, emit must fail rather than report none
+    monkeypatch.delattr(earl_mod, "_split_fits")
+    with pytest.raises(SystemExit, match="earlkit.earl has no _split_fits"):
+        compare_selections.emit()
+    assert capsys.readouterr().out == ""

@@ -12,7 +12,7 @@ def test_settable_value_count_matches_the_roadmap():
     # a new option has to update the design aim's figure on purpose
     text = " ".join((_ROOT / "ROADMAP.md").read_text(encoding="utf-8").split())
     stated = int(re.search(r"holds this figure to its total\): (\d+)", text).group(1))
-    assert len(count_settings.settings(_ROOT / "src")) == stated == 55
+    assert len(count_settings.settings(_ROOT / "src")) == stated == 50
 
 
 def test_count_reads_defaults_fields_and_methods(tmp_path):

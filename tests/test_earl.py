@@ -237,12 +237,13 @@ def test_crossfit_duplicated_symmetric_folds():
     assert np.array_equal(fit.rule.beta, r1.beta)
 
 
-def test_crossfit_reports_fold_solver_status():
+def test_crossfit_reports_fold_solver_status(monkeypatch):
     d = generate_scenario(ScenarioSpec(2, 300), 40)
     cfg = EarlConfig(loss="logistic", lam=0.1, k_folds=3, seed=2)
     fit = earl_fit_crossfit(d, _cc_spec(), cfg)
     assert fit.converged and fit.n_iter > 3 and fit.grad_norm < cfg.tol
-    short = earl_fit_crossfit(d, _cc_spec(), replace(cfg, max_iter=1))
+    monkeypatch.setattr(EarlConfig, "max_iter", 1)
+    short = earl_fit_crossfit(d, _cc_spec(), cfg)
     assert not short.converged
     assert short.n_iter == 3
     assert short.grad_norm >= cfg.tol
@@ -508,7 +509,7 @@ def test_select_lambda_carries_each_converged_point_down_the_path(monkeypatch, c
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
-def test_solve_after_a_replaced_point_starts_fresh(loss):
+def test_solve_after_a_replaced_point_starts_fresh(monkeypatch, loss):
     # a solve stopped at max_iter returns its best point, not its last one,
     # and a hinge solve from a poor start returns beta = 0 in place of its
     # smoothed point; the next solve from either must equal one from a copy
@@ -517,7 +518,9 @@ def test_solve_after_a_replaced_point_starts_fresh(loss):
     cfg = EarlConfig(loss=loss, lam=0.1)
     prob, _ = _build_problem(d, w, cfg)
     start = np.full(prob.q, 5.0) if loss == "hinge" else None
-    b, _, _, _, converged = earl_mod._solve(prob, replace(cfg, max_iter=1), start)
+    monkeypatch.setattr(EarlConfig, "max_iter", 1)
+    b, _, _, _, converged = earl_mod._solve(prob, cfg, start)
+    monkeypatch.undo()
     assert not converged
     if loss == "hinge":
         assert not np.any(b)
@@ -799,6 +802,10 @@ def test_config_rejects_a_lambda_whose_ridge_term_overflows(kwargs):
     "call,error,fragment",
     [
         (lambda d: EarlConfig(cv_folds=1), ConfigError, "cv_folds must be at least 2, got 1"),
+        # np.array_split would silently run 2 and 3 folds
+        (lambda d: EarlConfig(k_folds=2.5), ConfigError, "k_folds must be an integer, got 2.5"),
+        (lambda d: EarlConfig(cv_folds=3.5), ConfigError, "cv_folds must be an integer, got 3.5"),
+        (lambda d: EarlConfig(cv_folds=3.0), ConfigError, "cv_folds must be an integer, got 3.0"),
         (lambda d: EarlConfig(lambda_grid=()), ConfigError, "lambda_grid must be nonempty"),
         (lambda d: earl_fit(d, (np.ones(3), np.ones(3)), EarlConfig()), DataError, "align with the 40 data rows"),
         (lambda d: earl_fit(d, (np.full(40, np.nan), np.ones(40)), EarlConfig()), DataError, "must be finite"),
@@ -808,7 +815,7 @@ def test_config_rejects_a_lambda_whose_ridge_term_overflows(kwargs):
             "select must be 'fixed' or 'cv', got 'bogus'",
         ),
     ],
-    ids=["cv-folds", "empty-grid", "misaligned-weights", "nan-weights", "select"],
+    ids=["cv-folds", "fractional-k-folds", "fractional-cv-folds", "float-cv-folds", "empty-grid", "misaligned-weights", "nan-weights", "select"],
 )
 def test_estimator_inputs_are_checked(call, error, fragment):
     d, _ = _data(40, 2)
@@ -823,10 +830,11 @@ def test_select_lambda_needs_enough_rows():
         select_lambda(d, _cc_spec(), EarlConfig(cv_folds=10))
 
 
-def test_hinge_desk_fit_reaches_oracle():
+def test_hinge_desk_fit_reaches_oracle(monkeypatch):
     d = Dataset(np.array([[0.2], [-0.1]]), [1, -1], [0.0, 0.0])
     weights = [WeightPair(4.0, 0.0), WeightPair(0.0, 1.0)]
-    cfg = EarlConfig(loss="hinge", lam=0.0, feature_map=FeatureMap(1, ()), max_iter=2000)
+    monkeypatch.setattr(EarlConfig, "max_iter", 2000)
+    cfg = EarlConfig(loss="hinge", lam=0.0, feature_map=FeatureMap(1, ()))
     fit = earl_fit(d, weights, cfg)
 
     def obj(b):
@@ -836,13 +844,14 @@ def test_hinge_desk_fit_reaches_oracle():
     assert fit.objective_value <= f_star + 1e-4
 
 
-def test_hinge_fit_reports_nonconvergence():
+def test_hinge_fit_reports_nonconvergence(monkeypatch):
     d, rng = _data(80, 3, seed=4)
     w = (rng.normal(size=80) * 2, rng.normal(size=80) * 2)
     cfg = EarlConfig(loss="hinge", lam=0.1)
     fit = earl_fit(d, w, cfg)
     assert fit.converged and fit.grad_norm < cfg.tol
-    short = earl_fit(d, w, replace(cfg, max_iter=1))
+    monkeypatch.setattr(EarlConfig, "max_iter", 1)
+    short = earl_fit(d, w, cfg)
     assert not short.converged
     assert short.grad_norm >= cfg.tol
 

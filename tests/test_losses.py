@@ -163,6 +163,14 @@ def test_psi_domain_errors():
         psi_inverse("hinge", 1.5)
     with pytest.raises(DomainError):
         psi_inverse("exp", -0.2)
+    # NaN lies in no interval, so it fails both range tests
+    for name in LOSS_NAMES:
+        with pytest.raises(DomainError):
+            psi_eval(name, float("nan"))
+        with pytest.raises(DomainError):
+            psi_eval(name, np.array([0.5, np.nan]))
+        with pytest.raises(DomainError):
+            psi_inverse(name, float("nan"))
 
 
 def test_loss_names_are_checked():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import earlkit.sim as sim_mod
-from earlkit.baselines import SearchConfig
 from earlkit.core import ConfigError, LinearRule
 from earlkit.earl import EarlConfig
 from earlkit.nuisance import predict_propensity
@@ -196,7 +195,6 @@ def test_run_experiment_owl_keeps_its_lambda_under_cv(monkeypatch):
         scenarios=[2], specs=["CC", "II"], methods=["owl", "aipwe"], n_grid=[120],
         replicates=1, seed=4, validation_draws=500, select="cv",
         earl_config=EarlConfig(lam=0.25),
-        search_config=SearchConfig(population=12, generations=3),
     )
     res = run_experiment(**kwargs)
     assert sorted((r.method, r.spec) for r in res) == [("aipwe", "CC"), ("aipwe", "II"), ("owl", "CC"), ("owl", "II")]
@@ -297,8 +295,25 @@ def test_scenario_spec_validation():
             lambda: run_experiment(scenarios=[], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1),
             "must be nonempty",
         ),
+        # a repeated entry would return every one of its records twice
+        (
+            lambda: run_experiment(scenarios=[2, 2], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1),
+            "scenarios lists 2 more than once",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC", "II", "CC"], methods=["qlearning"], n_grid=[100], replicates=1),
+            "specs lists 'CC' more than once",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["owl", "owl"], n_grid=[100], replicates=1),
+            "methods lists 'owl' more than once",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100, 200, 100], replicates=1),
+            "n_grid lists 100 more than once",
+        ),
     ],
-    ids=["scenario", "draws", "no-scenarios"],
+    ids=["scenario", "draws", "no-scenarios", "repeated-scenario", "repeated-spec", "repeated-method", "repeated-n"],
 )
 def test_oracle_and_runner_inputs_are_checked(call, fragment):
     with pytest.raises(ConfigError) as exc:

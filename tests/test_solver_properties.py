@@ -51,12 +51,14 @@ _cases = dict(
 def test_cold_solve_reports_true_status(seed, n, p, loss, log2_lam, max_iter):
     d, rng = _data(seed, n, p)
     w = (rng.normal(size=n) * 3, rng.normal(size=n) * 3)
-    cfg = EarlConfig(loss=loss, lam=2.0**log2_lam, max_iter=max_iter)
+    cfg = EarlConfig(loss=loss, lam=2.0**log2_lam)
     prob, _ = _build_problem(d, w, cfg)
-    try:
-        solution = earl_mod._solve(prob, cfg)
-    except EarlError:
-        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EarlConfig, "max_iter", max_iter)
+        try:
+            solution = earl_mod._solve(prob, cfg)
+        except EarlError:
+            return
     _check_status(prob, cfg.tol, solution)
 
 
@@ -69,7 +71,7 @@ def test_cv_path_solves_report_true_status(seed, n, p, loss, log2_lam, max_iter)
     d, _ = _data(seed, n, p)
     spec = NuisanceSpec(FeatureMap.linear(p), FeatureMap.from_name("linear*a", p))
     grid = tuple(2.0 ** (log2_lam + k) for k in (-3, 0, 3))
-    cfg = EarlConfig(loss=loss, lambda_grid=grid, cv_folds=3, max_iter=max_iter, seed=seed)
+    cfg = EarlConfig(loss=loss, lambda_grid=grid, cv_folds=3, seed=seed)
     real_solve = earl_mod._solve
 
     def checking(prob, config, b=None):
@@ -78,6 +80,7 @@ def test_cv_path_solves_report_true_status(seed, n, p, loss, log2_lam, max_iter)
         return solution
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EarlConfig, "max_iter", max_iter)
         mp.setattr(earl_mod, "_solve", checking)
         try:
             select_lambda(d, spec, cfg)
