@@ -19,11 +19,8 @@ deterministic summary of how far the two trees agree:
   whose nuisance fits took that fallback, and the number of far cells in
   splits where no fit did.
 
-A split starts where select_lambda fits its nuisance models, at
-earlkit.earl._split_fits. Each call's warnings are recorded once, in
-order, and each rank-deficiency warning goes to the split in progress,
-wherever it was raised, so the fits of a split's cross-fitting folds
-count toward that split.
+A call's fallback splits are its selection's ridge_fallback_splits, and
+none for a call that fails.
 
 It exits 1 if a selected lambda differs or a call fails on one side only.
 
@@ -36,7 +33,7 @@ propensity, a linear*a outcome model), the default lambda grid, data seed
 
 from __future__ import annotations
 
-import bisect
+import dataclasses
 import json
 import math
 import os
@@ -46,7 +43,6 @@ import warnings
 from pathlib import Path
 
 REL = 1e-12
-FALLBACK = "outcome design is rank deficient"
 
 
 def _calls():
@@ -64,45 +60,30 @@ def _call_id(scenario, n, loss, crossfit):
 
 def emit() -> None:
     """Run the comparison set with the earlkit on sys.path; one JSON line per call."""
-    import earlkit.earl as earl
     from earlkit.core import FeatureMap
-    from earlkit.earl import EarlConfig, select_lambda
+    from earlkit.earl import EarlConfig, LambdaSelection, select_lambda
     from earlkit.nuisance import NuisanceSpec
     from earlkit.sim import ScenarioSpec, generate_scenario
 
-    # per CV split, in order: how many of the call's warnings, the list log
-    # recorded around each call below, came before the split started
-    starts = []
-    # without the hook every call would report no fallback split
-    real_split_fits = getattr(earl, "_split_fits", None)
-    if real_split_fits is None:
-        sys.exit("error: earlkit.earl has no _split_fits, so the ridge-fallback splits cannot be attributed")
-
-    def split_fits(*args):
-        starts.append(len(log))
-        return real_split_fits(*args)
-
-    earl._split_fits = split_fits
+    # without the record every call would report no fallback split
+    if "ridge_fallback_splits" not in {f.name for f in dataclasses.fields(LambdaSelection)}:
+        sys.exit("error: earlkit.earl.LambdaSelection has no ridge_fallback_splits to report the fallback splits from")
     for scenario, n, loss, crossfit in _calls():
         data = generate_scenario(ScenarioSpec(scenario, n), 0)
         spec = NuisanceSpec(FeatureMap.linear(data.p), FeatureMap.from_name("linear*a", data.p))
         record = {"id": _call_id(scenario, n, loss, crossfit)}
-        starts.clear()
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             try:
                 sel = select_lambda(data, spec, EarlConfig(loss=loss, seed=0), crossfit=crossfit)
             except Exception as exc:  # a failure is compared, not raised
                 record["error"] = f"{type(exc).__name__}: {exc}"
+                record["fallback_splits"] = []
             else:
                 record["lambda"] = sel.lambda_
                 record["table"] = repr(sel.table)
                 record["cells"] = [row["fold_values"] for row in sel.table]
-        # each rank-deficiency warning belongs to the split in progress
-        fell_back = {
-            bisect.bisect_right(starts, i) - 1 for i, w in enumerate(log) if FALLBACK in str(w.message)
-        }
-        record["fallback_splits"] = sorted(fell_back - {-1})
+                record["fallback_splits"] = list(sel.ridge_fallback_splits)
         print(json.dumps(record), flush=True)
 
 

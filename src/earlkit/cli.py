@@ -33,7 +33,7 @@ from .core import (
 from .earl import DEFAULT_LAMBDA_GRID, EarlConfig, fit_earl_pipeline
 from .inference import DEFAULT_PERMUTATIONS, permutation_report
 from .losses import get_loss
-from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel
+from .nuisance import DEFAULT_CLIP, NuisanceSpec, OutcomeModel, PropensityModel
 from .sim import DEFAULT_LAMBDA, run_experiment, write_results_csv
 from .value import value_aipwe, value_ipwe, value_ipwe_normalized
 
@@ -415,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="feature map name or 'none'",
         )
         sp.add_argument("--ridge", type=float, default=0.0, help="ridge weight of the propensity fit")
-        sp.add_argument("--clip-lo", dest="clip_lo", type=float, default=0.01, help="lower propensity clip")
-        sp.add_argument("--clip-hi", dest="clip_hi", type=float, default=0.99, help="upper propensity clip")
+        sp.add_argument("--clip-lo", dest="clip_lo", type=float, default=DEFAULT_CLIP[0], help="lower propensity clip")
+        sp.add_argument("--clip-hi", dest="clip_hi", type=float, default=DEFAULT_CLIP[1], help="upper propensity clip")
 
     sp = command("fit", cmd_fit, "fit a treatment rule from a CSV file")
     sp.add_argument("--method", choices=["earl", "owl", "qlearning"], default="earl", help="rule estimator")

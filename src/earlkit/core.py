@@ -70,6 +70,15 @@ class DataError(EarlError):
     """The data does not support the requested operation."""
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, if it is a Python or numpy integer; else a
+    ConfigError naming it, where int() would truncate it or range() fail on
+    it far from the call."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sgn(v):
     """Sign with sgn(0) = +1. Preserves scalar/array shape of the input."""
     out = np.where(np.asarray(v, dtype=float) >= 0.0, 1, -1)

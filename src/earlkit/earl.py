@@ -44,7 +44,6 @@ tolerance of 0 can flip a decision.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -59,6 +58,7 @@ from .core import (
     FeatureMap,
     LinearRule,
     NumericalError,
+    _integer,
     _rows,
     stream,
 )
@@ -128,9 +128,7 @@ class EarlConfig:
         if fm is not None and (fm.uses_treatment or fm.has_intercept):
             raise ConfigError("the rule feature map must be over x only, without an intercept")
         for name in ("k_folds", "cv_folds"):
-            k = getattr(self, name)
-            if not isinstance(k, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {k!r}")
+            k = _integer(name, getattr(self, name))
             if k < 2:
                 raise ConfigError(f"{name} must be at least 2, got {k}")
         grid = tuple(_check_lambda("lambda_grid values", v) for v in self.lambda_grid)
@@ -504,7 +502,6 @@ def _partition(n: int, k: int, *keys) -> list[np.ndarray]:
 
 
 def _merge_single_arm_folds(data: Dataset, folds: list[np.ndarray]) -> list[np.ndarray]:
-    folds = [np.asarray(f) for f in folds]
     while True:
         bad = next(
             (i for i, f in enumerate(folds) if len(np.unique(data.A[f])) < 2),
@@ -528,10 +525,11 @@ def _merge_single_arm_folds(data: Dataset, folds: list[np.ndarray]) -> list[np.n
 def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig, folds=None, Z=None):
     """Build the weighted problem of every cross-fitting fold.
 
-    Partitions the sample (or takes the given folds), merges single-arm
-    folds, fits the nuisance models on each fold I_k and builds the
-    problem from the complement's DR weights at config.lam, on the
-    complement's rows of the rule design Z (None: built from data).
+    Partitions the sample (or takes the given folds, which must partition
+    its rows), merges single-arm folds, fits the nuisance models on each
+    fold I_k and builds the problem from the complement's DR weights at
+    config.lam, on the complement's rows of the rule design Z (None: built
+    from data).
     Returns a list of (I_k, complement, propensity, outcome, problem) and
     the rule map.
     """
@@ -540,7 +538,15 @@ def _crossfit_problems(data: Dataset, nuisance: NuisanceSpec, config: EarlConfig
         raise DataError(f"need n >= 2K rows for cross-fitting, got n={data.n}, K={k}")
     if folds is None:
         folds = _partition(data.n, k, config.seed, 7011)
-    folds = _merge_single_arm_folds(data, list(folds))
+    else:
+        folds = [np.asarray(f) for f in folds]
+        if not (
+            folds
+            and all(f.ndim == 1 and f.dtype.kind in "iu" for f in folds)
+            and np.array_equal(np.sort(np.concatenate(folds)), np.arange(data.n))
+        ):
+            raise DataError(f"folds must be integer index arrays that hold each of the {data.n} rows exactly once")
+    folds = _merge_single_arm_folds(data, folds)
     if Z is None:
         Z = _rule_design(data.X, config.rule_map(data.p))
     parts = []
@@ -567,8 +573,9 @@ def earl_fit_crossfit(
     minimization runs on the complement; the aggregated rule averages the
     per-fold coefficient vectors. A fold holding a single treatment arm is
     merged into its neighbor (with a warning) when K > 2, and is an error
-    when K = 2. An explicit list of index arrays may be supplied in place
-    of the seeded partition. The solver status aggregates the folds:
+    when K = 2. An explicit list of integer index arrays that holds each
+    row exactly once may be supplied in place of the seeded partition;
+    other folds are a DataError. The solver status aggregates the folds:
     converged when every fold converged, n_iter summed, grad_norm the
     largest.
     """
@@ -604,8 +611,13 @@ def earl_fit_crossfit(
 
 @dataclass(frozen=True)
 class LambdaSelection:
+    """The selected lambda, the CV table, and the CV splits, in fold_values
+    order, in which an outcome fit took the rank-deficiency ridge fallback:
+    the split's own fit or, under cross-fitting, one of its folds' fits."""
+
     lambda_: float
     table: tuple[dict, ...]
+    ridge_fallback_splits: tuple[int, ...]
 
 
 def _reason(exc: BaseException) -> str:
@@ -631,14 +643,14 @@ def _split_fits(data: Dataset, nuisance: NuisanceSpec, gram: _OutcomeGram | None
     """A CV split's training rows, the rows of data where keep holds, with
     the DR weights (W_1, W_-1) of those rows and of the held rows, both
     sliced from one dr_weights pass over every row of data under the
-    split's nuisance models. These are fit on the training rows; the
-    outcome model by downdating gram, the outcome Gram of every row of
-    data (None: no outcome model)."""
+    split's nuisance models, and the split's outcome model. These are fit
+    on the training rows; the outcome model by downdating gram, the
+    outcome Gram of every row of data (None: no outcome model)."""
     train = data.subset(keep)
     prop = nuisance.fit_propensity(train)
     out = None if gram is None else gram.fit(keep)
     w = dr_weights(data, prop, out)
-    return train, tuple(x[keep] for x in w), tuple(x[~keep] for x in w)
+    return train, tuple(x[keep] for x in w), tuple(x[~keep] for x in w), out
 
 
 def select_lambda(
@@ -686,7 +698,10 @@ def select_lambda(
     failed nuisance fit fails its whole split. Any other error propagates.
     If every lambda's mean value is non-finite the selection fails with the
     nearest error class the failed cells share (a NumericalError if some
-    cell failed numerically), quoting one cell's reason.
+    cell failed numerically), quoting one cell's reason. Otherwise
+    ridge_fallback_splits lists each split, of those whose nuisance fits
+    succeeded, where an outcome fit (with crossfit=True, also a fold's)
+    took the ridge fallback.
     """
     grid = np.sort(np.asarray(config.lambda_grid, dtype=float))
     if data.n < config.cv_folds:
@@ -696,20 +711,25 @@ def select_lambda(
     folds = _partition(data.n, config.cv_folds, config.seed, 4242)
     vals = np.full((len(grid), len(folds)), np.nan)
     errors = [[None] * len(folds) for _ in grid]
+    fell_back = []
     for j, hold in enumerate(folds):
         keep = np.ones(data.n, dtype=bool)
         keep[hold] = False
         try:
-            train, w_train, w_h = _split_fits(data, nuisance, gram, keep)
+            train, w_train, w_h, out = _split_fits(data, nuisance, gram, keep)
+            outs = [out]
             if crossfit:
                 parts, _ = _crossfit_problems(train, nuisance, config, Z=_rows(Z, keep))
                 probs = [prob for *_, prob in parts]
+                outs += [fold_out for *_, fold_out, _ in parts]
             else:
                 probs = [_build_problem(train, w_train, config, _rows(Z, keep))[0]]
         except (EarlError, np.linalg.LinAlgError) as exc:
             for row in errors:
                 row[j] = exc
             continue
+        if any(o is not None and o.ridge_fallback for o in outs):
+            fell_back.append(j)
         starts = [None] * len(probs)
         rows, bs = [], []
         for i in reversed(range(len(grid))):
@@ -717,7 +737,7 @@ def select_lambda(
                 for k, prob in enumerate(probs):
                     prob.lam = float(grid[i])
                     starts[k] = _solve(prob, config, starts[k])[0]
-                b = starts[0] if len(starts) == 1 else np.mean(starts, axis=0)
+                b = np.mean(starts, axis=0)
                 if not np.all(np.isfinite(b)):
                     raise DataError("rule coefficients must be finite")
             except (EarlError, np.linalg.LinAlgError) as exc:
@@ -753,7 +773,7 @@ def select_lambda(
         }
         for lam, m, row, excs in zip(grid, means, vals, errors)
     )
-    return LambdaSelection(lambda_=best_lam, table=table)
+    return LambdaSelection(lambda_=best_lam, table=table, ridge_fallback_splits=tuple(fell_back))
 
 
 @dataclass(frozen=True)

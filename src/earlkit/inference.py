@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError, Dataset, EarlError, LinearRule, NumericalError, stream
+from .core import ConfigError, Dataset, EarlError, LinearRule, NumericalError, _integer, stream
 
 __all__ = ["PermutationEntry", "PermutationReport", "permutation_test", "permutation_report"]
 
@@ -49,8 +49,9 @@ def permutation_test(
     to 5% of the permutations (they are dropped from both the count and the
     denominator); beyond that the test errors out.
     """
-    if b < 1:
+    if _integer("b", b) < 1:
         raise ConfigError(f"permutation count must be at least 1, got {b}")
+    covariate = _integer("covariate", covariate)
     if not (0 <= covariate < data.p):
         raise ConfigError(f"covariate index {covariate} out of range for p={data.p}")
     rule = pipeline(data)
@@ -109,6 +110,6 @@ def permutation_report(
         return observed[0]
 
     entries = tuple(
-        permutation_test(data, shared, int(j), b=b, seed=seed) for j in covariates
+        permutation_test(data, shared, j, b=b, seed=seed) for j in covariates
     )
     return PermutationReport(entries=entries)

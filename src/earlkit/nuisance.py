@@ -46,6 +46,8 @@ __all__ = [
 
 SCORE_TOL = 1e-8
 MAX_IRLS_ITER = 100
+# the propensity clipping bounds (lo, hi) wherever none are given
+DEFAULT_CLIP = (0.01, 0.99)
 # |gamma| beyond this on the logit scale means fitted probabilities are
 # saturated to machine precision; with no ridge that signals separation.
 SEPARATION_COEF = 30.0
@@ -97,7 +99,7 @@ class PropensityModel:
 
     feature_map: FeatureMap
     gamma: np.ndarray
-    clip: tuple[float, float] = (0.01, 0.99)
+    clip: tuple[float, float] = DEFAULT_CLIP
     ridge: float = 0.0
     converged: bool = True
     n_iter: int = 0
@@ -153,7 +155,7 @@ def fit_propensity(
     data: Dataset,
     feature_map: FeatureMap,
     ridge: float = 0.0,
-    clip: tuple[float, float] = (0.01, 0.99),
+    clip: tuple[float, float] = DEFAULT_CLIP,
 ) -> PropensityModel:
     """Fit pi(1; x) = expit{gamma' features(x)} by penalized IRLS.
 
@@ -374,7 +376,7 @@ class NuisanceSpec:
     propensity_map: FeatureMap
     outcome_map: FeatureMap | None
     ridge: float = 0.0
-    clip: tuple[float, float] = (0.01, 0.99)
+    clip: tuple[float, float] = DEFAULT_CLIP
 
     def __post_init__(self):
         if not (np.isfinite(self.ridge) and self.ridge >= 0):

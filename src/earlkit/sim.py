@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import aipwe_direct_search, owl_fit, qlearning_fit
-from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, stream
+from .core import ConfigError, Dataset, EarlError, FeatureMap, LinearRule, _integer, stream
 from .earl import EarlConfig, fit_earl_pipeline
 from .nuisance import NuisanceSpec, OutcomeModel, PropensityModel, _expit
 
@@ -56,9 +56,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in (1, 2, 3):
             raise ConfigError(f"scenario must be 1, 2, or 3, got {self.scenario}")
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ConfigError(f"n must be positive, got {self.n}")
-        if self.p < 2:
+        if _integer("p", self.p) < 2:
             raise ConfigError(f"need p >= 2 for the contrast x1 + x2 - 0.1, got {self.p}")
 
 
@@ -105,7 +105,7 @@ def true_value_mc(rule, scenario: int, draws: int, seed) -> float:
     """
     if scenario not in (1, 2, 3):
         raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario}")
-    if draws < 1:
+    if _integer("draws", draws) < 1:
         raise ConfigError(f"draws must be positive, got {draws}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.standard_normal((draws, DEFAULT_P))
@@ -270,10 +270,12 @@ def run_experiment(
     on one thread and 13.1 s on two. A failing fit yields a record with a
     NaN value and the error message; the run continues.
     """
-    scenarios = [int(s) for s in scenarios]
+    scenarios = [_integer("each scenarios entry", s) for s in scenarios]
     spec_list = [ModelSpec(str(c)) for c in specs]
     methods = [str(m) for m in methods]
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_integer("each n_grid entry", n) for n in n_grid]
+    for name, count in (("replicates", replicates), ("validation_draws", validation_draws), ("threads", threads)):
+        _integer(name, count)
     if not (scenarios and spec_list and methods and n_grid and replicates >= 1):
         raise ConfigError("scenarios, specs, methods, n_grid, and replicates must be nonempty")
     for m in methods:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -78,10 +80,25 @@ def test_a_far_cell_counts_as_unexplained_only_where_no_split_fell_back(capsys):
     assert s["within 1e-12 relative"] == "1" and s["further apart"] == "0"
 
 
-def test_emit_fails_without_the_split_hook(monkeypatch, capsys):
-    # the ridge-fallback splits are attributed through earl._split_fits;
-    # with that name gone, emit must fail rather than report none
-    monkeypatch.delattr(earl_mod, "_split_fits")
-    with pytest.raises(SystemExit, match="earlkit.earl has no _split_fits"):
+def test_emit_fails_without_the_selection_record(monkeypatch, capsys):
+    # the ridge-fallback splits are read from the selection; a tree whose
+    # LambdaSelection lacks the record must fail rather than report none
+    @dataclass(frozen=True)
+    class LambdaSelection:
+        lambda_: float
+        table: tuple
+
+    monkeypatch.setattr(earl_mod, "LambdaSelection", LambdaSelection)
+    with pytest.raises(SystemExit, match="LambdaSelection has no ridge_fallback_splits"):
         compare_selections.emit()
     assert capsys.readouterr().out == ""
+
+
+def test_emit_records_no_fallback_split_for_a_failing_call(monkeypatch, capsys):
+    # every split of this call fails in its cross-fitting setup, after
+    # outcome fits in it have fallen back and warned
+    monkeypatch.setattr(compare_selections, "_calls", lambda: iter([(3, 200, "logistic", True)]))
+    compare_selections.emit()
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert "every cross-validated value was non-finite" in record["error"]
+    assert record["fallback_splits"] == []

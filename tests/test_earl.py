@@ -270,6 +270,22 @@ def test_crossfit_single_arm_fold_merges_when_k3():
     assert len(fit.per_fold_rules) == 2
 
 
+@pytest.mark.parametrize(
+    "folds",
+    [
+        [np.arange(60), np.arange(40, 100)],
+        [np.arange(30), np.arange(40, 70)],
+        [np.arange(50), np.arange(50, 101)],
+        [np.arange(50.0), np.arange(50.0, 100.0)],
+    ],
+    ids=["overlapping", "missing-rows", "out-of-range", "float-indices"],
+)
+def test_crossfit_folds_must_partition_the_rows(folds):
+    d = generate_scenario(ScenarioSpec(2, 100), 5)
+    with pytest.raises(DataError, match="hold each of the 100 rows exactly once"):
+        earl_fit_crossfit(d, _cc_spec(), EarlConfig(lam=0.1), folds=folds)
+
+
 def test_crossfit_needs_enough_rows():
     d, _ = _data(6, 2, seed=0)
     spec = NuisanceSpec(FeatureMap.intercept_only(2), None, ridge=1.0)
@@ -369,7 +385,7 @@ def _cold_table(d, spec, cfg, crossfit=False, public=False):
                 models = spec.fit(train)
                 w_train = dr_weights(train, *models)
             else:
-                train, w_train, w_held = earl_mod._split_fits(d, spec, gram, keep)
+                train, w_train, w_held, _ = earl_mod._split_fits(d, spec, gram, keep)
             if crossfit:
                 fit = earl_fit_crossfit(train, spec, c)
             else:
@@ -564,6 +580,46 @@ def test_select_lambda_scores_every_cell_with_few_treated(code):
         for row in sel.table:
             assert None not in row["fold_values"]
             assert row["fold_errors"] == [None] * 10
+
+
+@pytest.mark.filterwarnings("ignore:outcome design is rank deficient:UserWarning")
+@pytest.mark.parametrize(
+    "scenario,code,n,crossfit,listed,failed",
+    [
+        (3, "II", 500, False, 3, 0),
+        # every cross-fitting fold of 225 rows falls back, whatever its split's own fit did
+        (3, "II", 500, True, 30, 0),
+        (2, "CC", 500, False, 0, 0),
+        (2, "CC", 500, True, 0, 0),
+        # one split's cross-fitting folds hold a single arm, so its setup fails
+        (3, "II", 400, True, 29, 1),
+    ],
+)
+def test_selection_records_each_split_whose_outcome_fit_fell_back(scenario, code, n, crossfit, listed, failed):
+    spec = ModelSpec(code).nuisance_spec(scenario)
+    n_listed = n_failed = 0
+    for seed in range(3):
+        d = generate_scenario(ScenarioSpec(scenario, n), seed)
+        cfg = EarlConfig(seed=seed)
+        gram = _OutcomeGram(d, spec.outcome_map)
+        expected = []
+        for j, hold in enumerate(earl_mod._partition(d.n, cfg.cv_folds, cfg.seed, 4242)):
+            keep = np.ones(d.n, dtype=bool)
+            keep[hold] = False
+            fell_back = gram.fit(keep).ridge_fallback
+            if crossfit:
+                try:
+                    fit = earl_fit_crossfit(d.subset(keep), spec, replace(cfg, lam=1.0))
+                except DataError:
+                    n_failed += 1  # a split whose setup fails is not listed
+                    continue
+                fell_back |= any(a.outcome.ridge_fallback for a in fit.fold_artifacts)
+            if fell_back:
+                expected.append(j)
+        sel = select_lambda(d, spec, cfg, crossfit=crossfit)
+        assert sel.ridge_fallback_splits == tuple(expected)
+        n_listed += len(expected)
+    assert (n_listed, n_failed) == (listed, failed)
 
 
 @pytest.mark.parametrize("quadratic", [False, True])

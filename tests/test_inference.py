@@ -126,6 +126,13 @@ def test_invalid_arguments():
         permutation_test(d, _earl_pipeline(), covariate=0, b=0)
     with pytest.raises(ConfigError):
         permutation_test(d, _earl_pipeline(), covariate=5, b=10)
+    # range(b) and column indexing would fail later, with a bare TypeError or IndexError
+    with pytest.raises(ConfigError, match="b must be an integer, got 2.5"):
+        permutation_test(d, _earl_pipeline(), covariate=0, b=2.5)
+    with pytest.raises(ConfigError, match="covariate must be an integer, got 1.5"):
+        permutation_test(d, _earl_pipeline(), covariate=1.5, b=10)
+    with pytest.raises(ConfigError, match="covariate must be an integer, got 1.5"):
+        permutation_report(d, _earl_pipeline(), b=10, covariates=[1.5])
 
 
 def test_report_fits_the_observed_data_once():

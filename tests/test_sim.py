@@ -238,6 +238,18 @@ def test_run_experiment_rejects_fewer_than_one_draw_or_thread(kwargs):
         run_experiment([2], ["CC"], ["qlearning"], [100], 1, select="fixed", **kwargs)
 
 
+def test_numpy_integer_counts_are_accepted():
+    kwargs = dict(specs=["CC"], methods=["qlearning"], seed=1, select="fixed")
+    ints = run_experiment(scenarios=[2], n_grid=[100], replicates=1, validation_draws=200, **kwargs)
+    nps = run_experiment(
+        scenarios=[np.int64(2)], n_grid=[np.int32(100)], replicates=np.int64(1),
+        validation_draws=np.int64(200), threads=np.int8(1), **kwargs,
+    )
+    assert [(r.scenario, r.n, r.value) for r in nps] == [(r.scenario, r.n, r.value) for r in ints]
+    assert ScenarioSpec(2, np.int64(10), p=np.int16(3)).n == 10
+    assert true_value_mc(optimal_rule(), 2, np.int64(50), 0) == true_value_mc(optimal_rule(), 2, 50, 0)
+
+
 def test_results_csv_schema(tmp_path):
     res = run_experiment(
         scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100],
@@ -312,8 +324,38 @@ def test_scenario_spec_validation():
             lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100, 200, 100], replicates=1),
             "n_grid lists 100 more than once",
         ),
+        # a count that int() would truncate, or range() refuse later
+        (lambda: true_value_mc(optimal_rule(), 2, 10.5, 0), "draws must be an integer, got 10.5"),
+        (lambda: ScenarioSpec(2, 10.5), "n must be an integer, got 10.5"),
+        (lambda: ScenarioSpec(2, 10, p=3.5), "p must be an integer, got 3.5"),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1.5),
+            "replicates must be an integer, got 1.5",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100.7], replicates=1),
+            "each n_grid entry must be an integer, got 100.7",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2.5], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1),
+            "each scenarios entry must be an integer, got 2.5",
+        ),
+        (
+            lambda: run_experiment(
+                scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1, validation_draws=100.5
+            ),
+            "validation_draws must be an integer, got 100.5",
+        ),
+        (
+            lambda: run_experiment(scenarios=[2], specs=["CC"], methods=["qlearning"], n_grid=[100], replicates=1, threads=1.5),
+            "threads must be an integer, got 1.5",
+        ),
     ],
-    ids=["scenario", "draws", "no-scenarios", "repeated-scenario", "repeated-spec", "repeated-method", "repeated-n"],
+    ids=[
+        "scenario", "draws", "no-scenarios", "repeated-scenario", "repeated-spec", "repeated-method", "repeated-n",
+        "fractional-draws", "fractional-n", "fractional-p", "fractional-replicates", "fractional-n-grid",
+        "fractional-scenario", "fractional-validation-draws", "fractional-threads",
+    ],
 )
 def test_oracle_and_runner_inputs_are_checked(call, fragment):
     with pytest.raises(ConfigError) as exc:
